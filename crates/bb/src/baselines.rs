@@ -15,20 +15,20 @@ use nab_netgraph::{DiGraph, NodeId};
 use nab_sim::NetSim;
 
 use crate::eig::{run_eig, EigAdversary, EigChannel, HonestAdversary};
-use crate::router::{PathRouter, Routed};
+use crate::router::PathRouter;
 
 /// An [`EigChannel`] that transports every logical unicast over `2f+1`
 /// vertex-disjoint paths of the real network, charging real link time.
-pub struct RoutedChannel<'a, V> {
-    /// The simulator carrying the traffic.
-    pub net: &'a mut NetSim<Routed<V>>,
+pub struct RoutedChannel<'a, 'g> {
+    /// The meter charging the traffic.
+    pub net: &'a mut NetSim<'g>,
     /// Pre-built disjoint-path routing tables.
     pub router: &'a PathRouter,
     /// The faulty set (relays on paths may corrupt copies; majority wins).
     pub faulty: &'a BTreeSet<NodeId>,
 }
 
-impl<V: Clone + Eq> EigChannel<V> for RoutedChannel<'_, V> {
+impl<V: Clone + Eq> EigChannel<V> for RoutedChannel<'_, '_> {
     fn unicast(&mut self, from: NodeId, to: NodeId, bits: u64, value: V) -> V {
         // Relay corruption cannot defeat the 2f+1 majority, so the hook
         // forwards verbatim; adversarial *content* is injected at the EIG
@@ -93,8 +93,7 @@ pub fn oblivious_broadcast_with_router(
     faulty: &BTreeSet<NodeId>,
     adversary: &mut dyn EigAdversary<u64>,
 ) -> BaselineReport {
-    let mut net: NetSim<Routed<u64>> = NetSim::new(g.clone());
-    net.set_record_transcript(true);
+    let mut net = NetSim::new(g);
     let participants: Vec<NodeId> = g.nodes().collect();
     let res = {
         let mut chan = RoutedChannel {
@@ -119,7 +118,7 @@ pub fn oblivious_broadcast_with_router(
         .all(|p| res.decisions[p] == value || faulty.contains(&source));
     BaselineReport {
         time: net.clock(),
-        bits_carried: net.transcript().total_bits(),
+        bits_carried: net.total_bits(),
         correct,
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! NAB uses "a previously proposed Byzantine broadcast algorithm, such as
 //! [19]/[6]" as a black box in two places: step 2.2 (agreeing on the 1-bit
-//! equality-check flags) and Phase 3 (dispute-control transcript
+//! equality-check flags) and Phase 3 (dispute-control claim
 //! broadcasts). This crate supplies that black box:
 //!
 //! - [`eig`] — Exponential Information Gathering (Pease–Shostak–Lamport),

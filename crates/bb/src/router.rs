@@ -94,20 +94,6 @@ impl Clone for PathRouter {
     }
 }
 
-/// A payload in flight along one path: the logical value plus routing
-/// metadata so receivers can group copies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Routed<V> {
-    /// Logical sender.
-    pub origin: NodeId,
-    /// Logical receiver.
-    pub target: NodeId,
-    /// Index of the disjoint path carrying this copy.
-    pub path_idx: usize,
-    /// The value (possibly corrupted by a faulty relay).
-    pub value: V,
-}
-
 impl PathRouter {
     /// Prepares `2f + 1`-disjoint-path routing between every ordered pair
     /// of active nodes.
@@ -180,21 +166,22 @@ impl PathRouter {
     }
 
     /// Performs one reliable unicast of `value` (`bits` wide) from `origin`
-    /// to `target`, hop-by-hop through the simulator.
+    /// to `target`: one copy travels each disjoint path, hop by hop, and
+    /// every hop round is charged into the meter `net`.
     ///
     /// `corrupt` is the Byzantine interposition hook: called whenever a
     /// *faulty relay* forwards a copy, it returns the (possibly altered)
     /// value to forward. Fault-free relays forward verbatim.
     ///
-    /// Returns the majority value among delivered copies, or `None` if no
-    /// strict majority exists (cannot happen when at most `f` of `2f+1`
+    /// Returns the majority value among the delivered copies, or `None` if
+    /// no strict majority exists (cannot happen when at most `f` of `2f+1`
     /// copies are corrupted). Fails with [`RouterError`] if the pair has no
     /// path system or a path hop lost its link — both impossible while the
     /// graph proven connected at build time is intact.
     #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
     pub fn try_unicast<V, FC>(
         &self,
-        net: &mut NetSim<Routed<V>>,
+        net: &mut NetSim<'_>,
         faulty: &BTreeSet<NodeId>,
         origin: NodeId,
         target: NodeId,
@@ -207,8 +194,8 @@ impl PathRouter {
         FC: FnMut(NodeId, &V) -> V,
     {
         let paths = self.try_paths_for(origin, target)?;
-        // Current position and carried value per copy.
-        let mut carried: Vec<V> = vec![value.clone(); paths.len()];
+        // The copy each path currently carries; all end at `target`.
+        let mut carried: Vec<V> = vec![value; paths.len()];
         let max_hops = paths.iter().map(|p| p.len() - 1).max().unwrap_or(0);
         for hop in 0..max_hops {
             for (idx, path) in paths.iter().enumerate() {
@@ -222,42 +209,11 @@ impl PathRouter {
                 if hop > 0 && faulty.contains(&a) {
                     carried[idx] = corrupt(a, &carried[idx]);
                 }
-                let msg = Routed {
-                    origin,
-                    target,
-                    path_idx: idx,
-                    value: carried[idx].clone(),
-                };
-                net.send(a, b, bits, msg)?;
+                net.send(a, b, bits)?;
             }
-            net.deliver_round(&format!("route/{origin}->{target}/hop{hop}"));
+            net.deliver_round();
         }
-        // Collect the copies that arrived at the target.
-        let inbox = net.take_inbox(target);
-        let mut final_copies: Vec<V> = Vec::new();
-        let mut leftovers = Vec::new();
-        for (from, m) in inbox {
-            if m.origin == origin && m.target == target {
-                // Only the last hop of each path terminates at target.
-                final_copies.push(m.value);
-            } else {
-                leftovers.push((from, m));
-            }
-        }
-        // Intermediate inboxes along paths were consumed implicitly: the
-        // simulator delivers to inboxes, but relays in this router forward
-        // from `carried`, so drain stale entries to keep inboxes clean.
-        for v in net.graph().node_set() {
-            if v != target {
-                let _ = net.take_inbox(v);
-            }
-        }
-        for m in leftovers {
-            // Copies addressed to other logical receivers should not occur
-            // within a single unicast call.
-            debug_assert!(false, "unexpected routed message {:?}", (m.0));
-        }
-        Ok(majority(&final_copies))
+        Ok(majority(&carried))
     }
 
     /// Infallible convenience over [`PathRouter::try_unicast`] for callers
@@ -270,7 +226,7 @@ impl PathRouter {
     #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
     pub fn unicast<V, FC>(
         &self,
-        net: &mut NetSim<Routed<V>>,
+        net: &mut NetSim<'_>,
         faulty: &BTreeSet<NodeId>,
         origin: NodeId,
         target: NodeId,
@@ -342,7 +298,7 @@ mod tests {
     fn unicast_delivers_without_faults() {
         let g = gen::complete(4, 1);
         let router = PathRouter::build(&g, 1).unwrap();
-        let mut net = NetSim::new(g);
+        let mut net = NetSim::new(&g);
         let faulty = BTreeSet::new();
         let got = router.unicast(&mut net, &faulty, 0, 3, 1, 42u64, &mut |_, v| *v);
         assert_eq!(got, Some(42));
@@ -353,7 +309,7 @@ mod tests {
     fn unicast_survives_faulty_relay() {
         let g = gen::complete(4, 1);
         let router = PathRouter::build(&g, 1).unwrap();
-        let mut net = NetSim::new(g);
+        let mut net = NetSim::new(&g);
         // Node 1 is faulty and flips every value it relays.
         let faulty = BTreeSet::from([1]);
         let got = router.unicast(&mut net, &faulty, 0, 3, 1, 42u64, &mut |_, _| 999);
@@ -368,10 +324,53 @@ mod tests {
     fn unicast_survives_two_faulty_relays_with_f2() {
         let g = gen::complete(7, 1);
         let router = PathRouter::build(&g, 2).unwrap();
-        let mut net = NetSim::new(g);
+        let mut net = NetSim::new(&g);
         let faulty = BTreeSet::from([2, 3]);
         let got = router.unicast(&mut net, &faulty, 0, 6, 1, 7u64, &mut |_, _| 0);
         assert_eq!(got, Some(7), "5 disjoint paths beat 2 faults");
+    }
+
+    #[test]
+    fn unicast_charges_each_hop_at_its_slowest_path() {
+        // K4 with unequal capacities: 0→3 is forced onto the direct link
+        // plus the two-hop paths via 1 and via 2.
+        let mut g = DiGraph::new(4);
+        for u in 0..4 {
+            for v in 0..4 {
+                let cap = match (u, v) {
+                    (0, 1) => 4,
+                    (1, 3) => 2,
+                    (0, 2) | (2, 3) => 8,
+                    _ => 1,
+                };
+                if u != v {
+                    g.add_edge(u, v, cap);
+                }
+            }
+        }
+        let router = PathRouter::build(&g, 1).unwrap();
+        let mut net = NetSim::new(&g).recording(true);
+        let got = router.unicast(&mut net, &BTreeSet::new(), 0, 3, 8, 5u64, &mut |_, v| *v);
+        assert_eq!(got, Some(5));
+
+        let paths = router.paths_for(0, 3);
+        let mut lengths: Vec<usize> = paths.iter().map(Vec::len).collect();
+        lengths.sort_unstable();
+        assert_eq!(lengths, [2, 3, 3], "unequal path lengths");
+        let cap = |a, b| g.find_edge(a, b).unwrap().1.cap as f64;
+        let (mut clock, mut rounds) = (0.0, Vec::<Vec<_>>::new());
+        for hop in 0..2 {
+            let live: Vec<&Vec<NodeId>> = paths.iter().filter(|p| hop + 1 < p.len()).collect();
+            clock += live
+                .iter()
+                .map(|p| 8.0 / cap(p[hop], p[hop + 1]))
+                .fold(0.0, f64::max);
+            rounds.push(live.iter().map(|p| (p[hop], p[hop + 1], 8)).collect());
+        }
+        // Hop 0: the thin direct link (8/1); hop 1: 1→3 (8/2).
+        assert_eq!(clock, 12.0);
+        assert_eq!(net.clock(), clock);
+        assert_eq!(net.into_rounds(), rounds);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use nab_bb::baselines::RoutedChannel;
-use nab_bb::router::Routed;
 use nab_netgraph::arborescence::{pack_arborescences, pack_arborescences_naive, Arborescence};
 use nab_netgraph::{DiGraph, NodeId};
 use nab_obs::trace::{self, EventKind, InstanceSpan, Phase, PhaseSpan};
@@ -777,22 +776,26 @@ impl NabEngine {
         let dispute_span = PhaseSpan::enter(Phase::Dispute);
         let t0 = nab_obs::clock::mono_now();
         let truthful = honest_claims(gk, SOURCE, input, trees, scheme, &p1, &eq, &flags.announced);
-        let mut broadcast_claims: BTreeMap<NodeId, NodeClaims> = BTreeMap::new();
-        for (&v, honest) in &truthful {
-            let c = if faulty.contains(&v) {
-                adv.claims(v, honest)
-            } else {
-                honest.clone()
-            };
-            broadcast_claims.insert(v, c);
-        }
+        // Fault-free claims move into their `Arc` as built; every BB copy
+        // of a claim then shares that one allocation.
+        let broadcast_claims: BTreeMap<NodeId, Arc<NodeClaims>> = truthful
+            .into_iter()
+            .map(|(v, honest)| {
+                let c = if faulty.contains(&v) {
+                    adv.claims(v, &honest)
+                } else {
+                    honest
+                };
+                (v, Arc::new(c))
+            })
+            .collect();
 
         // Broadcast every node's claims with the classic BB protocol and
         // charge the (large) communication time.
-        let mut net: NetSim<Routed<NodeClaims>> = NetSim::new(plan.graph().clone());
-        net.set_record_transcript(self.net.is_some());
+        let mut net = NetSim::new(plan.graph()).recording(self.net.is_some());
         let mut agreed_claims: BTreeMap<NodeId, NodeClaims> = BTreeMap::new();
         for &b in &participants {
+            let claims = &broadcast_claims[&b];
             let dec = {
                 let mut chan = RoutedChannel {
                     net: &mut net,
@@ -804,16 +807,17 @@ impl NabEngine {
                     &participants,
                     b,
                     f_res,
-                    broadcast_claims[&b].clone(),
+                    Arc::clone(claims),
                     faulty,
                     &mut chan,
-                    broadcast_claims[&b].bits(),
+                    claims.bits(),
                 )
             };
             // All fault-free nodes agree; record the observer's copy.
-            agreed_claims.insert(b, dec[&observer].clone());
+            agreed_claims.insert(b, NodeClaims::clone(&dec[&observer]));
         }
         times.dispute = net.clock();
+        let dispute_rounds = net.into_rounds();
 
         // DC2 + DC3 on the agreed claims.
         let new_pairs = dc2_disputes(&agreed_claims);
@@ -841,7 +845,6 @@ impl NabEngine {
 
         let mut delivered = None;
         if let Some(nx) = &self.net {
-            let dispute_rounds = netexec::transcript_rounds(net.transcript());
             let (net_times, d) = netexec::replay_instance(
                 nx,
                 self.instance as u64,

@@ -20,7 +20,6 @@ use nab_net::{mix, EventNet, UNIT_NS};
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
 use nab_obs::metrics::Histogram;
-use nab_sim::Transcript;
 
 use crate::engine::PhaseTimes;
 use crate::value::SYMBOL_BITS;
@@ -88,15 +87,6 @@ impl DeliveredTimes {
     }
 }
 
-/// Flattens a recorded transcript into per-round send lists
-/// `(src, dst, bits)` for replay.
-pub(crate) fn transcript_rounds<M>(t: &Transcript<M>) -> Vec<Vec<(NodeId, NodeId, u64)>> {
-    t.rounds
-        .iter()
-        .map(|r| r.sends.iter().map(|s| (s.src, s.dst, s.bits)).collect())
-        .collect()
-}
-
 /// Everything the replay needs from one executed instance. Send sets
 /// are the *actual* transmissions (adversarial corruption included —
 /// corrupted blocks have the same sizes, so timing sees the same load).
@@ -111,7 +101,7 @@ pub(crate) struct ReplayInput<'a> {
     pub p1_sends: &'a BTreeMap<(usize, NodeId, NodeId), crate::phase1::Block>,
     /// Equality-check symbols per link; `None` when the phase did not run.
     pub eq_sends: Option<&'a BTreeMap<(NodeId, NodeId), Vec<Gf2_16>>>,
-    /// Flag-broadcast rounds (from the `NetSim` transcript).
+    /// Flag-broadcast rounds (as recorded by the `NetSim` round meter).
     pub flag_rounds: &'a [Vec<(NodeId, NodeId, u64)>],
     /// Dispute claim-broadcast rounds; empty when no dispute ran.
     pub dispute_rounds: &'a [Vec<(NodeId, NodeId, u64)>],

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use nab_gf::Gf2_16;
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
+use nab_sim::NetSim;
 
 use crate::adversary::NabAdversary;
 use crate::value::{Value, SYMBOL_BITS};
@@ -87,21 +88,16 @@ pub fn run_phase1(
     }
 
     // Charge link time: all transmissions happen concurrently (zero
-    // propagation delay), so the phase lasts as long as its busiest link
-    // — `max_e(bits_e / z_e)` with per-link bit totals, exactly the
-    // round charge `NetSim::deliver_round` computes.
-    let mut link_bits: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
+    // propagation delay), so the phase is one metered round lasting as
+    // long as its busiest link — `max_e(bits_e / z_e)` with per-link bit
+    // totals.
+    let mut meter = NetSim::new(gk);
     for ((_, src, dst), block) in &sends {
-        *link_bits.entry((*src, *dst)).or_insert(0) += block.len() as u64 * SYMBOL_BITS;
-    }
-    let mut duration: f64 = 0.0;
-    for (&(src, dst), &bits) in &link_bits {
-        let cap = gk
-            .find_edge(src, dst)
-            .map(|(_, e)| e.cap)
+        meter
+            .send(*src, *dst, block.len() as u64 * SYMBOL_BITS)
             .expect("tree edges exist in G_k"); // nab-lint: allow(NAB003): packed trees only use edges of G_k by construction
-        duration = duration.max(bits as f64 / cap as f64);
     }
+    let duration = meter.deliver_round();
 
     // Final values.
     let mut values = BTreeMap::new();

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use nab_bb::baselines::RoutedChannel;
 use nab_bb::eig::{run_eig, EigChannel, HonestAdversary};
 use nab_bb::phaseking::{run_phase_king, PkHonest};
-use nab_bb::router::{PathRouter, Routed};
+use nab_bb::router::PathRouter;
 use nab_gf::{Gf2_16, WordMatrix};
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
@@ -53,7 +53,7 @@ pub fn run_equality_phase(
         .collect();
 
     let mut flags: BTreeMap<NodeId, bool> = gk.nodes().map(|v| (v, false)).collect();
-    let mut link_bits: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
+    let mut meter = NetSim::new(gk);
     for (_, e) in gk.edges() {
         let honest = scheme.encode_cols(e.src, e.dst, &reshaped[&e.src]);
         let sent = if faulty.contains(&e.src) {
@@ -61,33 +61,26 @@ pub fn run_equality_phase(
         } else {
             honest
         };
-        *link_bits.entry((e.src, e.dst)).or_insert(0) += sent.len() as u64 * SYMBOL_BITS;
+        charge_edge(&mut meter, e.src, e.dst, &sent);
         if !scheme.check_cols(e.src, e.dst, &reshaped[&e.dst], &sent) {
             flags.insert(e.dst, true);
         }
         sends.insert((e.src, e.dst), sent);
     }
-    let duration = equality_duration(gk, &link_bits);
 
     EqOutcome {
         sends,
         flags,
-        duration,
+        duration: meter.deliver_round(),
     }
 }
 
-/// The synchronous round charge `max_e(bits_e / z_e)` over per-link bit
-/// totals — identical to `NetSim::deliver_round` on the same sends.
-fn equality_duration(gk: &DiGraph, link_bits: &BTreeMap<(NodeId, NodeId), u64>) -> f64 {
-    let mut duration: f64 = 0.0;
-    for (&(src, dst), &bits) in link_bits {
-        let cap = gk
-            .find_edge(src, dst)
-            .map(|(_, e)| e.cap)
-            .expect("edge exists"); // nab-lint: allow(NAB003): packed trees only use edges of G_k by construction
-        duration = duration.max(bits as f64 / cap as f64);
-    }
-    duration
+/// Queues one edge's coded symbols on the phase's single metered round,
+/// which charges `max_e(bits_e / z_e)` over per-link bit totals.
+fn charge_edge(meter: &mut NetSim<'_>, src: NodeId, dst: NodeId, sent: &[Gf2_16]) {
+    meter
+        .send(src, dst, sent.len() as u64 * SYMBOL_BITS)
+        .expect("edge exists"); // nab-lint: allow(NAB003): the symbols travel an edge of G_k by construction
 }
 
 /// Packs the reshaped value columns of every stream into one row-major
@@ -187,7 +180,7 @@ pub fn run_equality_phase_batched(
     let mut flags: Vec<BTreeMap<NodeId, bool>> = (0..streams)
         .map(|_| gk.nodes().map(|v| (v, false)).collect())
         .collect();
-    let mut link_bits: Vec<BTreeMap<(NodeId, NodeId), u64>> = vec![BTreeMap::new(); streams];
+    let mut meters: Vec<NetSim<'_>> = (0..streams).map(|_| NetSim::new(gk)).collect();
 
     for (_, e) in gk.edges() {
         // One blocked multiply covers every stream's encode on this edge;
@@ -208,7 +201,7 @@ pub fn run_equality_phase_batched(
             } else {
                 honest
             };
-            *link_bits[s].entry((e.src, e.dst)).or_insert(0) += sent.len() as u64 * SYMBOL_BITS;
+            charge_edge(&mut meters[s], e.src, e.dst, &sent);
             if sent != scatter_stream(&yd, dst_off[s], dst_off[s + 1] - dst_off[s]) {
                 flags[s].insert(e.dst, true);
             }
@@ -220,7 +213,7 @@ pub fn run_equality_phase_batched(
         .map(|s| EqOutcome {
             sends: std::mem::take(&mut sends[s]),
             flags: std::mem::take(&mut flags[s]),
-            duration: equality_duration(gk, &link_bits[s]),
+            duration: meters[s].deliver_round(),
         })
         .collect()
 }
@@ -333,8 +326,7 @@ pub fn run_flag_broadcast(
     kind: BroadcastKind,
     record_rounds: bool,
 ) -> FlagOutcome {
-    let mut net: NetSim<Routed<u64>> = NetSim::new(g0.clone());
-    net.set_record_transcript(record_rounds);
+    let mut net = NetSim::new(g0).recording(record_rounds);
 
     let mut announced = BTreeMap::new();
     let mut decisions = BTreeMap::new();
@@ -370,7 +362,7 @@ pub fn run_flag_broadcast(
         announced,
         decisions,
         duration: net.clock(),
-        rounds: crate::netexec::transcript_rounds(net.transcript()),
+        rounds: net.into_rounds(),
     }
 }
 

@@ -1,5 +1,5 @@
-//! A synchronous message-passing simulator with per-link capacity/time
-//! accounting — the "testbed" for NAB.
+//! A synchronous round meter with per-link capacity/time accounting — the
+//! cost model of NAB's Byzantine-broadcast transport.
 //!
 //! The paper's model (Section 1): a synchronous network where a directed
 //! link of capacity `z_e` can carry `z_e · τ` bits in time `τ`, with zero
@@ -8,96 +8,24 @@
 //!
 //! - protocols proceed in *rounds*; during a round every node may place
 //!   messages on its outgoing links;
-//! - when the round is delivered, the simulator charges wall-clock time
+//! - when the round is delivered, the meter charges wall-clock time
 //!   `max_e (bits_e / z_e)` — all links transmit in parallel, so a round
 //!   lasts as long as its most loaded link (this reproduces the paper's
 //!   `L/γ` and `L/ρ` phase costs, see `nab` crate tests);
-//! - every send is recorded in a [`Transcript`], which is what Phase 3
-//!   (dispute control) replays and cross-examines.
+//! - on request, every round's `(src, dst, bits)` sends are recorded so the
+//!   message-level layer can replay the same load under a link model.
 //!
-//! The simulator carries an arbitrary payload type `M`; Byzantine behavior
-//! is produced *above* this layer (faulty nodes simply hand different
-//! payloads to [`NetSim::send`]), keeping the fabric itself trustworthy,
-//! which mirrors the paper's model where links are reliable and only nodes
-//! misbehave.
-
-use std::collections::BTreeMap;
+//! The meter carries no payloads. Protocol layers move values themselves
+//! (the path router forwards its own copies; Byzantine behavior is
+//! injected there) and only report each transmission's size here, which
+//! mirrors the paper's model where links are reliable and only nodes
+//! misbehave. Dispute control cross-examines the broadcast `NodeClaims`,
+//! not anything recorded by this crate.
 
 use nab_netgraph::{DiGraph, NodeId};
 
-/// A record of one message as carried by the network.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SentMsg<M> {
-    /// Transmitting node.
-    pub src: NodeId,
-    /// Receiving node.
-    pub dst: NodeId,
-    /// Size charged against the link capacity.
-    pub bits: u64,
-    /// The payload (opaque to the simulator).
-    pub payload: M,
-}
-
-/// One delivered round: its label and every message it carried.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundRecord<M> {
-    /// Protocol-assigned label (e.g. `"phase1/tree0"`).
-    pub label: String,
-    /// Messages carried, in send order.
-    pub sends: Vec<SentMsg<M>>,
-    /// Wall-clock duration charged for this round.
-    pub duration: f64,
-}
-
-/// The full communication transcript of an execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Transcript<M> {
-    /// Delivered rounds in order.
-    pub rounds: Vec<RoundRecord<M>>,
-}
-
-impl<M> Default for Transcript<M> {
-    fn default() -> Self {
-        Transcript { rounds: Vec::new() }
-    }
-}
-
-impl<M: Clone> Transcript<M> {
-    /// All messages sent by `node`, with round labels.
-    pub fn sent_by(&self, node: NodeId) -> Vec<(&str, &SentMsg<M>)> {
-        self.rounds
-            .iter()
-            .flat_map(|r| {
-                r.sends
-                    .iter()
-                    .filter(move |s| s.src == node)
-                    .map(move |s| (r.label.as_str(), s))
-            })
-            .collect()
-    }
-
-    /// All messages received by `node`, with round labels.
-    pub fn received_by(&self, node: NodeId) -> Vec<(&str, &SentMsg<M>)> {
-        self.rounds
-            .iter()
-            .flat_map(|r| {
-                r.sends
-                    .iter()
-                    .filter(move |s| s.dst == node)
-                    .map(move |s| (r.label.as_str(), s))
-            })
-            .collect()
-    }
-
-    /// Total bits carried across all rounds.
-    pub fn total_bits(&self) -> u64 {
-        self.rounds
-            .iter()
-            .flat_map(|r| &r.sends)
-            .map(|s| s.bits)
-            .sum()
-    }
-}
+/// One recorded round: its sends as `(src, dst, bits)`, in send order.
+pub type Round = Vec<(NodeId, NodeId, u64)>;
 
 /// Errors returned by [`NetSim::send`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,7 +51,7 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// The synchronous capacitated network simulator.
+/// The synchronous capacitated round meter over a borrowed network.
 ///
 /// # Example
 ///
@@ -131,54 +59,51 @@ impl std::error::Error for SendError {}
 /// use nab_netgraph::gen;
 /// use nab_sim::NetSim;
 ///
-/// let mut net = NetSim::<String>::new(gen::complete(3, 2));
-/// net.send(0, 1, 4, "hello".into()).unwrap();
-/// net.deliver_round("greeting");
-/// assert_eq!(net.take_inbox(1), vec![(0, "hello".to_string())]);
+/// let g = gen::complete(3, 2);
+/// let mut net = NetSim::new(&g).recording(true);
+/// net.send(0, 1, 4).unwrap();
 /// // 4 bits over a capacity-2 link: 2 time units.
+/// assert_eq!(net.deliver_round(), 2.0);
 /// assert_eq!(net.clock(), 2.0);
+/// assert_eq!(net.into_rounds(), vec![vec![(0, 1, 4)]]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct NetSim<M> {
-    graph: DiGraph,
+pub struct NetSim<'g> {
+    graph: &'g DiGraph,
     clock: f64,
-    pending: Vec<SentMsg<M>>,
-    inboxes: BTreeMap<NodeId, Vec<(NodeId, M)>>,
-    transcript: Transcript<M>,
-    record_transcript: bool,
+    total_bits: u64,
+    /// Queued sends of the current round as `(src, dst, bits, cap)`.
+    pending: Vec<(NodeId, NodeId, u64, u64)>,
+    rounds: Option<Vec<Round>>,
 }
 
-impl<M: Clone> NetSim<M> {
-    /// Creates a simulator over the given network.
-    pub fn new(graph: DiGraph) -> Self {
+impl<'g> NetSim<'g> {
+    /// Creates a meter over the given network, not recording rounds.
+    pub fn new(graph: &'g DiGraph) -> Self {
         NetSim {
             graph,
             clock: 0.0,
+            total_bits: 0,
             pending: Vec::new(),
-            inboxes: BTreeMap::new(),
-            transcript: Transcript::default(),
-            record_transcript: true,
+            rounds: None,
         }
     }
 
-    /// Disables transcript recording (large-run benches).
-    pub fn set_record_transcript(&mut self, on: bool) {
-        self.record_transcript = on;
-    }
-
-    /// The underlying network graph.
-    pub fn graph(&self) -> &DiGraph {
-        &self.graph
-    }
-
-    /// Mutable access to the graph — NAB shrinks `G_k` between instances.
-    pub fn graph_mut(&mut self) -> &mut DiGraph {
-        &mut self.graph
+    /// Turns per-round send recording on or off (message-level replay
+    /// needs it; the synchronous path does not).
+    pub fn recording(mut self, on: bool) -> Self {
+        self.rounds = on.then(Vec::new);
+        self
     }
 
     /// Elapsed simulated time.
     pub fn clock(&self) -> f64 {
         self.clock
+    }
+
+    /// Total bits sent so far.
+    pub fn total_bits(&self) -> u64 {
+        self.total_bits
     }
 
     /// Charges extra wall-clock time not tied to message bits (e.g. an
@@ -192,7 +117,7 @@ impl<M: Clone> NetSim<M> {
         self.clock += duration;
     }
 
-    /// Queues a message on the directed link `src → dst` for the current
+    /// Queues `bits` on the directed link `src → dst` for the current
     /// round.
     ///
     /// # Errors
@@ -201,96 +126,37 @@ impl<M: Clone> NetSim<M> {
     /// layers treat a missing message as a default value per the fault
     /// model, so callers typically propagate this only for fault-free
     /// senders.
-    pub fn send(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bits: u64,
-        payload: M,
-    ) -> Result<(), SendError> {
-        if self.graph.find_edge(src, dst).is_none() {
-            return Err(SendError::NoSuchLink { src, dst });
-        }
-        self.pending.push(SentMsg {
-            src,
-            dst,
-            bits,
-            payload,
-        });
+    pub fn send(&mut self, src: NodeId, dst: NodeId, bits: u64) -> Result<(), SendError> {
+        let (_, e) = self
+            .graph
+            .find_edge(src, dst)
+            .ok_or(SendError::NoSuchLink { src, dst })?;
+        self.pending.push((src, dst, bits, e.cap));
+        self.total_bits += bits;
         Ok(())
     }
 
-    /// Delivers all queued messages, charging `max_e(bits_e / z_e)` time,
-    /// and returns the round duration.
-    pub fn deliver_round(&mut self, label: &str) -> f64 {
-        let mut per_link: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
-        for m in &self.pending {
-            *per_link.entry((m.src, m.dst)).or_insert(0) += m.bits;
+    /// Ends the current round, charging `max_e(bits_e / z_e)` time over
+    /// the per-link bit totals, and returns the round duration.
+    pub fn deliver_round(&mut self) -> f64 {
+        if let Some(rounds) = &mut self.rounds {
+            rounds.push(self.pending.iter().map(|&(s, d, b, _)| (s, d, b)).collect());
         }
-        let mut duration: f64 = 0.0;
-        for ((src, dst), bits) in &per_link {
-            let cap = self
-                .graph
-                .find_edge(*src, *dst)
-                .map(|(_, e)| e.cap)
-                .expect("link vanished mid-round"); // nab-lint: allow(NAB003): send() verified the link; topology is frozen within a round
-            duration = duration.max(*bits as f64 / cap as f64);
-        }
-        let sends = std::mem::take(&mut self.pending);
-        for m in &sends {
-            self.inboxes
-                .entry(m.dst)
-                .or_default()
-                .push((m.src, m.payload.clone()));
-        }
-        if self.record_transcript {
-            self.transcript.rounds.push(RoundRecord {
-                label: label.to_string(),
-                sends,
-                duration,
-            });
-        }
+        self.pending.sort_unstable_by_key(|&(s, d, _, _)| (s, d));
+        let duration = self
+            .pending
+            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+            .map(|link| link.iter().map(|m| m.2).sum::<u64>() as f64 / link[0].3 as f64)
+            .fold(0.0, f64::max);
+        self.pending.clear();
         self.clock += duration;
         duration
     }
 
-    /// Removes and returns the accumulated inbox of `node` as
-    /// (sender, payload) pairs in arrival order.
-    pub fn take_inbox(&mut self, node: NodeId) -> Vec<(NodeId, M)> {
-        self.inboxes.remove(&node).unwrap_or_default()
+    /// The recorded rounds, in delivery order; empty unless recording.
+    pub fn into_rounds(self) -> Vec<Round> {
+        self.rounds.unwrap_or_default()
     }
-
-    /// Peeks at the inbox without draining it.
-    pub fn inbox(&self, node: NodeId) -> &[(NodeId, M)] {
-        self.inboxes.get(&node).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The execution transcript so far.
-    pub fn transcript(&self) -> &Transcript<M> {
-        &self.transcript
-    }
-
-    /// Clears the transcript (e.g. between NAB instances once disputes have
-    /// been resolved).
-    pub fn clear_transcript(&mut self) {
-        self.transcript.rounds.clear();
-    }
-
-    /// Resets the clock to zero, keeping graph and transcript.
-    pub fn reset_clock(&mut self) {
-        self.clock = 0.0;
-    }
-}
-
-/// Per-link load statistics over a transcript, for utilization reports.
-pub fn link_loads<M: Clone>(t: &Transcript<M>) -> BTreeMap<(NodeId, NodeId), u64> {
-    let mut out = BTreeMap::new();
-    for r in &t.rounds {
-        for s in &r.sends {
-            *out.entry((s.src, s.dst)).or_insert(0) += s.bits;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -298,109 +164,92 @@ mod tests {
     use super::*;
     use nab_netgraph::gen;
 
-    fn net() -> NetSim<u64> {
-        NetSim::new(gen::figure_1a())
-    }
-
     #[test]
     fn send_on_missing_link_fails() {
-        let mut n = net();
+        let g = gen::figure_1a();
+        let mut n = NetSim::new(&g);
         // Figure 1(a) has no link between ids 1 and 3.
         assert_eq!(
-            n.send(1, 3, 8, 0),
+            n.send(1, 3, 8),
             Err(SendError::NoSuchLink { src: 1, dst: 3 })
         );
-        assert!(n.send(0, 1, 8, 0).is_ok());
+        assert!(n.send(0, 1, 8).is_ok());
     }
 
     #[test]
     fn round_duration_is_max_over_links() {
-        let mut n = net();
+        let g = gen::figure_1a();
+        let mut n = NetSim::new(&g);
         // (0,1) has cap 2; (0,2) has cap 2; load them unevenly.
-        n.send(0, 1, 8, 1).unwrap(); // 4 time units worth
-        n.send(0, 2, 2, 2).unwrap(); // 1 time unit worth
-        let d = n.deliver_round("r");
+        n.send(0, 1, 8).unwrap(); // 4 time units worth
+        n.send(0, 2, 2).unwrap(); // 1 time unit worth
+        let d = n.deliver_round();
         assert_eq!(d, 4.0);
         assert_eq!(n.clock(), 4.0);
     }
 
     #[test]
     fn multiple_messages_on_one_link_accumulate() {
-        let mut n = net();
-        n.send(0, 1, 3, 1).unwrap();
-        n.send(0, 1, 5, 2).unwrap();
-        let d = n.deliver_round("r");
+        let g = gen::figure_1a();
+        let mut n = NetSim::new(&g);
+        n.send(0, 1, 3).unwrap();
+        n.send(0, 2, 2).unwrap();
+        n.send(0, 1, 5).unwrap();
+        let d = n.deliver_round();
         assert_eq!(d, 4.0); // 8 bits over cap 2
+        assert_eq!(n.total_bits(), 10);
     }
 
     #[test]
-    fn inboxes_deliver_in_order_and_drain() {
-        let mut n = net();
-        n.send(0, 1, 1, 10).unwrap();
-        n.send(0, 1, 1, 20).unwrap();
-        n.deliver_round("r");
-        assert_eq!(n.inbox(1), &[(0, 10), (0, 20)]);
-        assert_eq!(n.take_inbox(1), vec![(0, 10), (0, 20)]);
-        assert!(n.take_inbox(1).is_empty());
+    fn recording_keeps_every_round_in_send_order() {
+        let g = gen::figure_1a();
+        let mut n = NetSim::new(&g).recording(true);
+        n.send(0, 2, 2).unwrap();
+        n.send(0, 1, 1).unwrap();
+        n.deliver_round();
+        n.deliver_round();
+        n.send(1, 2, 1).unwrap();
+        n.deliver_round();
+        assert_eq!(
+            n.into_rounds(),
+            vec![vec![(0, 2, 2), (0, 1, 1)], vec![], vec![(1, 2, 1)]]
+        );
     }
 
     #[test]
-    fn transcript_records_everything() {
-        let mut n = net();
-        n.send(0, 1, 2, 7).unwrap();
-        n.deliver_round("phase1");
-        n.send(1, 2, 1, 9).unwrap();
-        n.deliver_round("phase2");
-        let t = n.transcript();
-        assert_eq!(t.rounds.len(), 2);
-        assert_eq!(t.rounds[0].label, "phase1");
-        assert_eq!(t.total_bits(), 3);
-        assert_eq!(t.sent_by(0).len(), 1);
-        assert_eq!(t.received_by(2).len(), 1);
-    }
-
-    #[test]
-    fn transcript_can_be_disabled() {
-        let mut n = net();
-        n.set_record_transcript(false);
-        n.send(0, 1, 2, 7).unwrap();
-        n.deliver_round("r");
-        assert!(n.transcript().rounds.is_empty());
-        // Delivery still happened.
-        assert_eq!(n.inbox(1).len(), 1);
+    fn recording_can_be_disabled() {
+        let g = gen::figure_1a();
+        let mut n = NetSim::new(&g).recording(false);
+        n.send(0, 1, 2).unwrap();
+        assert_eq!(n.deliver_round(), 1.0);
+        // Time and bits are still charged.
+        assert_eq!(n.clock(), 1.0);
+        assert_eq!(n.total_bits(), 2);
+        assert!(n.into_rounds().is_empty());
     }
 
     #[test]
     fn charge_accumulates_time() {
-        let mut n = net();
+        let g = gen::figure_1a();
+        let mut n = NetSim::new(&g);
         n.charge(2.5);
         n.charge(0.5);
         assert_eq!(n.clock(), 3.0);
-        n.reset_clock();
-        assert_eq!(n.clock(), 0.0);
     }
 
     #[test]
     fn empty_round_costs_nothing() {
-        let mut n = net();
-        assert_eq!(n.deliver_round("idle"), 0.0);
-    }
-
-    #[test]
-    fn link_loads_aggregate() {
-        let mut n = net();
-        n.send(0, 1, 2, 1).unwrap();
-        n.deliver_round("a");
-        n.send(0, 1, 3, 2).unwrap();
-        n.deliver_round("b");
-        let loads = link_loads(n.transcript());
-        assert_eq!(loads[&(0, 1)], 5);
+        let g = gen::figure_1a();
+        let mut n = NetSim::new(&g);
+        assert_eq!(n.deliver_round(), 0.0);
+        assert_eq!(n.clock(), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "negative")]
     fn negative_charge_rejected() {
-        let mut n = net();
+        let g = gen::figure_1a();
+        let mut n = NetSim::new(&g);
         n.charge(-1.0);
     }
 }

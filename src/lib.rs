@@ -5,7 +5,7 @@
 //!
 //! - [`gf`] — finite fields `GF(2^m)` and dense linear algebra,
 //! - [`netgraph`] — capacitated digraphs, flows, and tree packings,
-//! - [`sim`] — the synchronous capacitated network simulator,
+//! - [`sim`] — the synchronous capacitated round meter,
 //! - [`bb`] — classic Byzantine-broadcast primitives and baselines,
 //! - [`nab`] — the Network-Aware Byzantine broadcast algorithm itself,
 //! - [`net`] — the deterministic discrete-event network kernel
