@@ -10,8 +10,28 @@
 //! flags (step 2.2) and for the dispute-control transcript claims (Phase 3);
 //! its cost is the `O(n^α)` per-bit overhead that the throughput analysis
 //! amortizes away.
+//!
+//! # Tree layout
+//!
+//! The claim tree is the same at every node, so one run enumerates it
+//! once, flat and index-addressed: node 0 is the root `⟨source⟩`, the
+//! levels follow in order, and the children of every internal node are
+//! contiguous and in participant order. Each node stores only its parent
+//! index and its path's last participant; every receiver keeps one
+//! `Vec<V>` of the values it heard, indexed like the tree. Relays walk the
+//! tree in index order, and resolution runs bottom-up over each internal
+//! node's child slice, so no path is allocated or hashed. A claim's path
+//! is materialized (into one reused buffer) only for a faulty relay's
+//! [`EigAdversary::send_value`].
+//!
+//! Index order is lexicographic path order, which makes it the canonical
+//! relay order: for `f = 1` it is the source's round followed by each
+//! relay in participant order, and for `f ≥ 2` the relays of level `k`
+//! go in lexicographic order of their paths. The unicast sequence — and
+//! with it the order in which hop charges are summed into the reported
+//! times — is therefore the same on every run.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Re-export: node identifier.
 pub use nab_netgraph::NodeId;
@@ -64,6 +84,76 @@ impl<V> EigChannel<V> for IdealChannel {
     }
 }
 
+/// The EIG tree of one run, enumerated once in level order.
+///
+/// Node 0 is the root `⟨source⟩`; level `k` holds the paths of length
+/// `k + 1`. The children of every internal node are contiguous and in
+/// participant order, so each level is in lexicographic path order and a
+/// node's children are found by arithmetic: every node of level `k` has
+/// `n − 1 − k` children. Participants are referred to by their index in
+/// the participant slice.
+struct EigTree {
+    /// Parent of each node (the root is its own parent).
+    parent: Vec<usize>,
+    /// The last participant of each node's path.
+    last: Vec<usize>,
+    /// First node of each level, plus the total size as a sentinel.
+    level_start: Vec<usize>,
+}
+
+impl EigTree {
+    fn new(n: usize, source: usize, f: usize) -> EigTree {
+        let mut tree = EigTree {
+            parent: vec![0],
+            last: vec![source],
+            level_start: vec![0, 1],
+        };
+        let mut path = Vec::with_capacity(f + 1);
+        for level in 0..f {
+            for node in tree.level_start[level]..tree.level_start[level + 1] {
+                tree.path_into(node, &mut path, |p| p);
+                for p in (0..n).filter(|p| !path.contains(p)) {
+                    tree.parent.push(node);
+                    tree.last.push(p);
+                }
+            }
+            tree.level_start.push(tree.parent.len());
+        }
+        tree
+    }
+
+    fn len(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// Number of internal (non-leaf) nodes; they precede the leaves.
+    fn internal(&self) -> usize {
+        self.level_start[self.level_start.len() - 2]
+    }
+
+    /// The index range of `node`'s children (`node` must be internal).
+    fn children(&self, node: usize, n: usize) -> std::ops::Range<usize> {
+        let level = self.level_start.partition_point(|&s| s <= node) - 1;
+        let fanout = n - 1 - level;
+        let first = self.level_start[level + 1] + (node - self.level_start[level]) * fanout;
+        first..first + fanout
+    }
+
+    /// Writes `node`'s path, root first, into `buf` (mapping each
+    /// participant index through `id`).
+    fn path_into<T>(&self, mut node: usize, buf: &mut Vec<T>, id: impl Fn(usize) -> T) {
+        buf.clear();
+        loop {
+            buf.push(id(self.last[node]));
+            if node == 0 {
+                break;
+            }
+            node = self.parent[node];
+        }
+        buf.reverse();
+    }
+}
+
 /// Runs one EIG Byzantine broadcast.
 ///
 /// - `participants`: the nodes taking part (must include `source`);
@@ -75,6 +165,11 @@ impl<V> EigChannel<V> for IdealChannel {
 ///
 /// Guarantees (for `|participants| > 3f`): all fault-free participants
 /// decide the same value, equal to `input` when the source is fault-free.
+///
+/// Every relay forwards its claims in lexicographic path order (by
+/// participant position), and to the receivers in participant order, so
+/// the unicast sequence — and with it every charge and recorded round —
+/// is a function of the arguments alone.
 ///
 /// # Panics
 ///
@@ -94,112 +189,84 @@ where
     V: Clone + Eq + Default,
     C: EigChannel<V>,
 {
-    assert!(participants.contains(&source), "source must participate");
-    assert!(
-        participants.len() > 3 * f,
-        "EIG requires n > 3f (n={}, f={f})",
-        participants.len()
-    );
+    let n = participants.len();
+    let src = participants
+        .iter()
+        .position(|&p| p == source)
+        .expect("source must participate"); // nab-lint: allow(NAB003): documented panic on a caller contract violation
+    assert!(n > 3 * f, "EIG requires n > 3f (n={n}, f={f})");
 
+    let tree = EigTree::new(n, src, f);
     let mut messages = 0u64;
-    // Per-node claim trees: path -> value heard.
-    let mut trees: BTreeMap<NodeId, HashMap<Vec<NodeId>, V>> =
-        participants.iter().map(|&p| (p, HashMap::new())).collect();
+    // Per receiver, the value heard for every tree node.
+    let mut vals: Vec<Vec<V>> = (0..n).map(|_| Vec::with_capacity(tree.len())).collect();
+    let mut path: Vec<NodeId> = Vec::with_capacity(f + 1);
 
     // Round 1: the source announces its input.
-    let root_path = vec![source];
-    for &r in participants {
+    let source_faulty = faulty.contains(&source);
+    for (r, &to) in participants.iter().enumerate() {
         let honest = input.clone();
-        let sent = if faulty.contains(&source) {
-            adversary.send_value(source, &root_path, r, &honest)
+        let sent = if source_faulty {
+            adversary.send_value(source, &[source], to, &honest)
         } else {
             honest
         };
-        let got = if r == source {
+        let got = if r == src {
             sent // self-delivery
         } else {
             messages += 1;
-            chan.unicast(source, r, bits, sent)
+            chan.unicast(source, to, bits, sent)
         };
-        trees.get_mut(&r).unwrap().insert(root_path.clone(), got); // nab-lint: allow(NAB003): trees is pre-populated with an entry per receiver
+        vals[r].push(got);
     }
 
-    // Rounds 2..=f+1: relay every level-(k-1) claim.
-    for level in 1..=f {
-        // Paths of length `level` currently known (same set at every node).
-        let paths: Vec<Vec<NodeId>> = trees[&source]
-            .keys()
-            .filter(|p| p.len() == level)
-            .cloned()
-            .collect();
-        let mut new_entries: Vec<(NodeId, Vec<NodeId>, V)> = Vec::new();
-        for path in &paths {
-            for &relay in participants {
-                if path.contains(&relay) {
-                    continue;
-                }
-                let mut new_path = path.clone();
-                new_path.push(relay);
-                let honest = trees[&relay].get(path).cloned().unwrap_or_default();
-                for &r in participants {
-                    if r == relay {
-                        new_entries.push((r, new_path.clone(), honest.clone()));
-                        continue;
-                    }
-                    let sent = if faulty.contains(&relay) {
-                        adversary.send_value(relay, &new_path, r, &honest)
-                    } else {
-                        honest.clone()
-                    };
-                    messages += 1;
-                    let got = chan.unicast(relay, r, bits, sent);
-                    new_entries.push((r, new_path.clone(), got));
-                }
+    // Rounds 2..=f+1: every tree node below the root is one relay of its
+    // parent's claim by the node's last participant.
+    for node in 1..tree.len() {
+        let relay = tree.last[node];
+        let from = participants[relay];
+        let honest = vals[relay][tree.parent[node]].clone();
+        let relay_faulty = faulty.contains(&from);
+        if relay_faulty {
+            tree.path_into(node, &mut path, |p| participants[p]);
+        }
+        for (r, &to) in participants.iter().enumerate() {
+            let got = if r == relay {
+                honest.clone()
+            } else {
+                let sent = if relay_faulty {
+                    adversary.send_value(from, &path, to, &honest)
+                } else {
+                    honest.clone()
+                };
+                messages += 1;
+                chan.unicast(from, to, bits, sent)
+            };
+            vals[r].push(got);
+        }
+    }
+
+    // Decision: strict-majority resolve, bottom-up. Leaves keep the value
+    // heard; an internal node takes the strict majority of its children,
+    // or the default on a tie. (Falling back to the node's own stored
+    // value would break agreement: an equivocating source gives every
+    // node a different stored value.)
+    let decisions = participants
+        .iter()
+        .zip(vals)
+        .map(|(&p, mut v)| {
+            for node in (0..tree.internal()).rev() {
+                let kids = tree.children(node, n);
+                v[node] = crate::router::majority(&v[kids]).unwrap_or_default();
             }
-        }
-        for (node, path, v) in new_entries {
-            trees.get_mut(&node).unwrap().insert(path, v); // nab-lint: allow(NAB003): trees is pre-populated with an entry per receiver
-        }
-    }
-
-    // Decision: recursive strict-majority resolve from the root.
-    let mut decisions = BTreeMap::new();
-    for &p in participants {
-        let tree = &trees[&p];
-        let v = resolve(tree, &root_path, participants, f);
-        decisions.insert(p, v);
-    }
+            (p, v.swap_remove(0))
+        })
+        .collect();
 
     EigResult {
         decisions,
         messages,
     }
-}
-
-/// Recursive EIG resolution: leaves report their stored value; internal
-/// paths take the strict majority of their children (default on tie).
-fn resolve<V: Clone + Eq + Default>(
-    tree: &HashMap<Vec<NodeId>, V>,
-    path: &[NodeId],
-    participants: &[NodeId],
-    f: usize,
-) -> V {
-    if path.len() == f + 1 {
-        return tree.get(path).cloned().unwrap_or_default();
-    }
-    let mut children: Vec<V> = Vec::new();
-    for &j in participants {
-        if path.contains(&j) {
-            continue;
-        }
-        let mut child = path.to_vec();
-        child.push(j);
-        children.push(resolve(tree, &child, participants, f));
-    }
-    // No strict majority → the protocol-wide default value. (Falling back
-    // to the node's own stored value would break agreement: an
-    // equivocating source gives every node a different stored value.)
-    crate::router::majority(&children).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -375,6 +442,80 @@ mod tests {
             128,
         );
         assert_eq!(res.decisions[&3], "claim:sent[1,2,3]");
+    }
+
+    /// Transport that logs every unicast's endpoints, in order.
+    #[derive(Default)]
+    struct LoggingChannel(Vec<(NodeId, NodeId)>);
+
+    impl<V> EigChannel<V> for LoggingChannel {
+        fn unicast(&mut self, from: NodeId, to: NodeId, _: u64, value: V) -> V {
+            self.0.push((from, to));
+            value
+        }
+    }
+
+    #[test]
+    fn f1_unicast_order_is_source_then_relays_in_participant_order() {
+        let parts: Vec<NodeId> = vec![2, 5, 7, 9];
+        let mut chan = LoggingChannel::default();
+        let res = run_eig(
+            &parts,
+            5,
+            1,
+            1u64,
+            &BTreeSet::new(),
+            &mut HonestAdversary,
+            &mut chan,
+            1,
+        );
+        assert_eq!(
+            chan.0,
+            [
+                (5, 2),
+                (5, 7),
+                (5, 9),
+                (2, 5),
+                (2, 7),
+                (2, 9),
+                (7, 2),
+                (7, 5),
+                (7, 9),
+                (9, 2),
+                (9, 5),
+                (9, 7),
+            ]
+        );
+        assert_eq!(res.messages, 12);
+    }
+
+    /// Adversary that follows the protocol but logs every claim path it
+    /// is asked about.
+    #[derive(Default)]
+    struct PathLog(Vec<Vec<NodeId>>);
+
+    impl EigAdversary<u64> for PathLog {
+        fn send_value(&mut self, _: NodeId, path: &[NodeId], _: NodeId, honest: &u64) -> u64 {
+            if self.0.last().map(Vec::as_slice) != Some(path) {
+                self.0.push(path.to_vec());
+            }
+            *honest
+        }
+    }
+
+    #[test]
+    fn f2_relays_go_in_lexicographic_path_order() {
+        let parts: Vec<NodeId> = (0..7).collect();
+        let mut log = PathLog::default();
+        let all = parts.iter().copied().collect();
+        run_eig(&parts, 3, 2, 0u64, &all, &mut log, &mut IdealChannel, 1);
+        // Root, 6 level-2 paths, 6·5 level-3 paths; each level sorted.
+        assert_eq!(log.0.len(), 1 + 6 + 30);
+        assert_eq!(log.0[0], [3]);
+        assert!(log.0[1..7].windows(2).all(|w| w[0] < w[1]));
+        assert!(log.0[7..].windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(log.0[7], [3, 0, 1]);
+        assert_eq!(log.0[36], [3, 6, 5]);
     }
 
     /// Exhaustive check for n=4, f=1: for every choice of faulty node and

@@ -57,23 +57,64 @@ impl From<SendError> for RouterError {
     }
 }
 
+/// One ordered pair's route: its `2f + 1` disjoint paths and, for every
+/// hop, the smallest capacity among the links the copies cross in that
+/// hop — the hop's whole round-meter charge is `bits / min_cap`.
+#[derive(Debug)]
+pub struct Route {
+    paths: Vec<Vec<NodeId>>,
+    hop_caps: Vec<u64>,
+}
+
+impl Route {
+    /// Compiles the paths against `g`, whose links they must all exist in.
+    fn compile(g: &DiGraph, paths: Vec<Vec<NodeId>>) -> Result<Route, RouterError> {
+        let max_hops = paths.iter().map(|p| p.len() - 1).max().unwrap_or(0);
+        let hop_caps = (0..max_hops)
+            .map(|hop| {
+                hop_links(&paths, hop).try_fold(u64::MAX, |min, (a, b)| {
+                    let (_, e) = g
+                        .find_edge(a, b)
+                        .ok_or(SendError::NoSuchLink { src: a, dst: b })?;
+                    Ok(min.min(e.cap))
+                })
+            })
+            .collect::<Result<_, RouterError>>()?;
+        Ok(Route { paths, hop_caps })
+    }
+
+    /// The disjoint paths, each as the node sequence `src, …, dst`.
+    pub fn paths(&self) -> &[Vec<NodeId>] {
+        &self.paths
+    }
+}
+
+/// The links the copies cross in hop `hop`, in path order; within one hop
+/// they are pairwise distinct (the paths are internally vertex-disjoint).
+fn hop_links(paths: &[Vec<NodeId>], hop: usize) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    paths
+        .iter()
+        .filter(move |p| hop + 1 < p.len())
+        .map(move |p| (p[hop], p[hop + 1]))
+}
+
+/// Memoized routes per ordered `(src, dst)` pair.
+type PairRoutes = BTreeMap<(NodeId, NodeId), Arc<Route>>;
+
 /// Routes logical unicasts over vertex-disjoint path systems, computed
 /// lazily per ordered pair.
 ///
 /// Eager all-pairs routing is `O(n²)` max-flows before the first instance
 /// can run — the planning wall at datacenter scale. [`PathRouter::build`]
 /// now only proves the `2f+1`-connectivity precondition (so path existence
-/// is guaranteed by Menger's theorem) and each pair's paths are extracted on
-/// first use, memoized behind a lock. The extraction is deterministic per
-/// pair, so lazy evaluation is invisible to results regardless of which
-/// thread routes a pair first.
-/// Memoized disjoint-path sets per ordered `(src, dst)` pair.
-type PairPaths = BTreeMap<(NodeId, NodeId), Arc<Vec<Vec<NodeId>>>>;
-
+/// is guaranteed by Menger's theorem) and each pair's [`Route`] is
+/// extracted and compiled on first use, memoized behind a lock. The
+/// extraction is deterministic per pair, so lazy evaluation is invisible
+/// to results regardless of which thread routes a pair first.
 #[derive(Debug)]
 pub struct PathRouter {
     g: DiGraph,
-    paths: RwLock<PairPaths>,
+    routes: RwLock<PairRoutes>,
     copies: usize,
 }
 
@@ -81,14 +122,14 @@ impl Clone for PathRouter {
     fn clone(&self) -> Self {
         // Poison-tolerant: the memo only ever holds fully-constructed
         // `Arc` entries, so a panicked writer cannot leave torn state.
-        let paths = self
-            .paths
+        let routes = self
+            .routes
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
         PathRouter {
             g: self.g.clone(),
-            paths: RwLock::new(paths),
+            routes: RwLock::new(routes),
             copies: self.copies,
         }
     }
@@ -112,7 +153,7 @@ impl PathRouter {
         };
         routable.then(|| PathRouter {
             g: g.clone(),
-            paths: RwLock::new(BTreeMap::new()),
+            routes: RwLock::new(BTreeMap::new()),
             copies,
         })
     }
@@ -122,36 +163,33 @@ impl PathRouter {
         self.copies
     }
 
-    /// The disjoint paths used for the ordered pair, computing and
-    /// memoizing them on first use.
+    /// The route of the ordered pair, extracting, compiling and memoizing
+    /// it on first use.
     ///
     /// Returns [`RouterError::Unroutable`] if the pair cannot be routed
     /// (inactive node) — impossible while the graph that passed
-    /// [`PathRouter::build`] is intact, by Menger's theorem.
-    pub fn try_paths_for(
-        &self,
-        s: NodeId,
-        t: NodeId,
-    ) -> Result<Arc<Vec<Vec<NodeId>>>, RouterError> {
+    /// [`PathRouter::build`] is intact, by Menger's theorem — and
+    /// [`RouterError::Send`] if a path hop has no link.
+    pub fn try_paths_for(&self, s: NodeId, t: NodeId) -> Result<Arc<Route>, RouterError> {
         // Lock access is poison-tolerant: the memo map only ever holds
         // fully-constructed entries (`or_insert` of a finished `Arc`), so a
         // panicked holder cannot have left it torn.
-        if let Some(p) = self
-            .paths
+        if let Some(r) = self
+            .routes
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(&(s, t))
         {
-            return Ok(Arc::clone(p));
+            return Ok(Arc::clone(r));
         }
         let extracted = vertex_disjoint_paths(&self.g, s, t, self.copies)
             .ok_or(RouterError::Unroutable { src: s, dst: t })?;
-        let p = Arc::new(extracted);
-        let mut map = self.paths.write().unwrap_or_else(PoisonError::into_inner);
+        let r = Arc::new(Route::compile(&self.g, extracted)?);
+        let mut map = self.routes.write().unwrap_or_else(PoisonError::into_inner);
         // Another thread may have raced us here; keep the first entry so
         // every caller shares one allocation (both computations are
         // identical anyway — extraction is deterministic).
-        Ok(Arc::clone(map.entry((s, t)).or_insert(p)))
+        Ok(Arc::clone(map.entry((s, t)).or_insert(r)))
     }
 
     /// Infallible convenience over [`PathRouter::try_paths_for`].
@@ -159,24 +197,25 @@ impl PathRouter {
     /// # Panics
     ///
     /// Panics if the pair cannot be routed (inactive node).
-    pub fn paths_for(&self, s: NodeId, t: NodeId) -> Arc<Vec<Vec<NodeId>>> {
+    pub fn paths_for(&self, s: NodeId, t: NodeId) -> Arc<Route> {
         self.try_paths_for(s, t)
             // nab-lint: allow(NAB003): documented panicking convenience; fallible callers use try_paths_for
             .expect("connectivity was proven at build time")
     }
 
     /// Performs one reliable unicast of `value` (`bits` wide) from `origin`
-    /// to `target`: one copy travels each disjoint path, hop by hop, and
-    /// every hop round is charged into the meter `net`.
+    /// to `target`: one copy travels each disjoint path, and every hop is
+    /// charged into the meter `net` as one round, in hop order.
     ///
     /// `corrupt` is the Byzantine interposition hook: called whenever a
-    /// *faulty relay* forwards a copy, it returns the (possibly altered)
-    /// value to forward. Fault-free relays forward verbatim.
+    /// *faulty relay* forwards a copy (hop by hop, in path order within a
+    /// hop), it returns the (possibly altered) value to forward. Fault-free
+    /// relays forward verbatim.
     ///
     /// Returns the majority value among the delivered copies, or `None` if
     /// no strict majority exists (cannot happen when at most `f` of `2f+1`
     /// copies are corrupted). Fails with [`RouterError`] if the pair has no
-    /// path system or a path hop lost its link — both impossible while the
+    /// path system or a path hop has no link — both impossible while the
     /// graph proven connected at build time is intact.
     #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
     pub fn try_unicast<V, FC>(
@@ -193,25 +232,27 @@ impl PathRouter {
         V: Clone + Eq,
         FC: FnMut(NodeId, &V) -> V,
     {
-        let paths = self.try_paths_for(origin, target)?;
-        // The copy each path currently carries; all end at `target`.
-        let mut carried: Vec<V> = vec![value; paths.len()];
-        let max_hops = paths.iter().map(|p| p.len() - 1).max().unwrap_or(0);
-        for hop in 0..max_hops {
-            for (idx, path) in paths.iter().enumerate() {
-                if hop + 1 >= path.len() {
-                    continue;
+        let route = self.try_paths_for(origin, target)?;
+        for (hop, &cap) in route.hop_caps.iter().enumerate() {
+            net.deliver_hop(bits, cap, hop_links(&route.paths, hop));
+        }
+        // A faulty relay (not the origin: origin equivocation is modeled a
+        // layer up) may corrupt the copy it forwards; without one, every
+        // copy arrives intact.
+        if !route
+            .paths
+            .iter()
+            .any(|p| p[1..p.len() - 1].iter().any(|a| faulty.contains(a)))
+        {
+            return Ok(Some(value));
+        }
+        let mut carried: Vec<V> = vec![value; route.paths.len()];
+        for hop in 1..route.hop_caps.len() {
+            for (copy, path) in carried.iter_mut().zip(&route.paths) {
+                if hop + 1 < path.len() && faulty.contains(&path[hop]) {
+                    *copy = corrupt(path[hop], copy);
                 }
-                let (a, b) = (path[hop], path[hop + 1]);
-                // A faulty relay (not the origin: origin equivocation is
-                // modeled a layer up) may corrupt the copy before
-                // forwarding.
-                if hop > 0 && faulty.contains(&a) {
-                    carried[idx] = corrupt(a, &carried[idx]);
-                }
-                net.send(a, b, bits)?;
             }
-            net.deliver_round();
         }
         Ok(majority(&carried))
     }
@@ -353,7 +394,8 @@ mod tests {
         let got = router.unicast(&mut net, &BTreeSet::new(), 0, 3, 8, 5u64, &mut |_, v| *v);
         assert_eq!(got, Some(5));
 
-        let paths = router.paths_for(0, 3);
+        let route = router.paths_for(0, 3);
+        let paths = route.paths();
         let mut lengths: Vec<usize> = paths.iter().map(Vec::len).collect();
         lengths.sort_unstable();
         assert_eq!(lengths, [2, 3, 3], "unequal path lengths");
@@ -377,12 +419,12 @@ mod tests {
     fn paths_are_internally_disjoint() {
         let g = gen::complete(5, 1);
         let router = PathRouter::build(&g, 1).unwrap();
-        let paths = router.paths_for(0, 4);
-        assert_eq!(paths.len(), 3);
+        let route = router.paths_for(0, 4);
+        assert_eq!(route.paths().len(), 3);
         // A second lookup shares the memoized allocation.
-        assert!(Arc::ptr_eq(&paths, &router.paths_for(0, 4)));
-        let mut internal = std::collections::HashSet::new();
-        for p in paths.iter() {
+        assert!(Arc::ptr_eq(&route, &router.paths_for(0, 4)));
+        let mut internal = BTreeSet::new();
+        for p in route.paths() {
             for &v in &p[1..p.len() - 1] {
                 assert!(internal.insert(v));
             }

@@ -5,10 +5,10 @@
 //! perf [--quick] [--threads N] [--out DIR]
 //! ```
 //!
-//! Times the GF kernel tiers (byte-slab, table kernels, scalar reference)
-//! and a bundled scenario sweep, then writes both reports as
-//! deterministic-schema JSON into `--out` (default: the current
-//! directory). See `docs/perf.md` for the schema and interpretation.
+//! Times the GF kernel tiers (byte-slab, table kernels, scalar reference),
+//! a bundled scenario sweep and the flag-BB layer split, then writes both
+//! reports as deterministic-schema JSON into `--out` (default: the
+//! current directory). See `docs/perf.md` for the schema and interpretation.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -139,10 +139,15 @@ fn run(args: &Args) -> Result<(), String> {
         pr.reports_identical,
     );
 
+    eprintln!("perf: flag BB layer split…");
+    let flag_bb = perf::run_flag_bb_bench(args.quick)?;
+    print!("{}", perf::flag_bb_summary_table(&flag_bb));
+
     let sweep_path = args.out.join("BENCH_sweep.json");
     std::fs::write(
         &sweep_path,
-        perf::sweep_report_json(&report, wall_ns, threads, args.quick, &pc, &pr).render_pretty(),
+        perf::sweep_report_json(&report, wall_ns, threads, args.quick, &pc, &pr, &flag_bb)
+            .render_pretty(),
     )
     .map_err(|e| format!("cannot write {}: {e}", sweep_path.display()))?;
     eprintln!("perf: wrote {}", sweep_path.display());

@@ -11,19 +11,26 @@
 //! `docs/perf.md`.
 
 use nab_obs::clock;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
 
+use nab::adversary::HonestStrategy;
 use nab::equality::CodingScheme;
+use nab::phase2::run_flag_broadcast;
 use nab::value::Value;
+use nab::BroadcastKind;
+use nab_bb::eig::{run_eig, EigChannel, HonestAdversary, IdealChannel};
+use nab_bb::router::PathRouter;
 use nab_gf::bytes::{self, ByteMatrix};
 use nab_gf::kernel::{self, scalar_mul_row_add, FastOps};
 use nab_gf::linalg;
 use nab_gf::matrix::Matrix;
 use nab_gf::words::WordMatrix;
 use nab_gf::{simd, Field, Gf256, Gf2_16};
-use nab_netgraph::gen;
+use nab_netgraph::{gen, NodeId};
 use nab_scenario::json::Json;
 use nab_scenario::{parse_str, PhaseLatency, SweepReport};
+use nab_sim::NetSim;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,7 +51,10 @@ use rand::SeedableRng;
 /// planning pass, built+persisted vs. loaded), and per-job/aggregate
 /// `plan_repairs` / `plan_full_recomputes` / `plan_repair_ns` counters
 /// inside the embedded timed sweep.
-pub const SCHEMA_VERSION: u64 = 5;
+/// v6: the `flag_bb` section in `BENCH_sweep.json` — the step-2.2 flag
+/// broadcast split into EIG tree work, routed unicasts, and the whole
+/// call, as min and median over [`FLAG_BB_REPS`] repetitions.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Repetitions of every timed loop; the reported `total_ns` is the
 /// **minimum** over these (min-of-N filters scheduler and frequency
@@ -680,6 +690,200 @@ pub fn run_plan_repair_bench(quick: bool, threads: usize) -> Result<PlanRepairBe
     })
 }
 
+/// Network sizes of the `flag_bb` section: heterogeneous complete graphs
+/// `K_n` (capacities uniform in `1..=5`) at `f = 1`.
+pub const FLAG_BB_SIZES: [usize; 3] = [4, 7, 10];
+
+/// Repetitions of every `flag_bb` timing; min and median are reported.
+pub const FLAG_BB_REPS: u32 = 11;
+
+/// [`FLAG_BB_REPS`], or 3 for smoke runs.
+fn flag_bb_reps(quick: bool) -> u32 {
+    if quick {
+        3
+    } else {
+        FLAG_BB_REPS
+    }
+}
+
+/// Min and median over the repetitions of one timed part, in ns per call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spread {
+    /// Fastest repetition.
+    pub min_ns: u64,
+    /// Median repetition.
+    pub median_ns: u64,
+}
+
+/// One `flag_bb` case: a flag broadcast (`run_flag_broadcast`, one EIG
+/// per participant) on the heterogeneous `K_n`, split into its layers.
+#[derive(Debug, Clone)]
+pub struct FlagBbCase {
+    /// Participants.
+    pub n: u64,
+    /// Calls per repetition.
+    pub iters: u64,
+    /// The `n` EIG runs over [`IdealChannel`]: tree work alone.
+    pub eig: Spread,
+    /// The same logical unicasts routed over the `2f+1` disjoint paths
+    /// into the round meter, without EIG.
+    pub routing: Spread,
+    /// The whole `run_flag_broadcast` call.
+    pub flag_bb: Spread,
+}
+
+/// Times `iters` calls of `f` per repetition, [`flag_bb_reps`] times
+/// after one warmup call.
+fn spread<R>(quick: bool, iters: u64, mut f: impl FnMut() -> R) -> Spread {
+    black_box(f());
+    let mut per_call: Vec<u64> = (0..flag_bb_reps(quick))
+        .map(|_| {
+            let t0 = clock::mono_now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            t0.elapsed().as_nanos() as u64 / iters
+        })
+        .collect();
+    per_call.sort_unstable();
+    Spread {
+        min_ns: per_call[0],
+        median_ns: per_call[per_call.len() / 2],
+    }
+}
+
+/// Records the endpoints of every logical unicast, delivering verbatim.
+struct UnicastLog(Vec<(NodeId, NodeId)>);
+
+impl EigChannel<u64> for UnicastLog {
+    fn unicast(&mut self, from: NodeId, to: NodeId, _: u64, value: u64) -> u64 {
+        self.0.push((from, to));
+        value
+    }
+}
+
+/// Runs the `flag_bb` section over [`FLAG_BB_SIZES`].
+///
+/// # Errors
+///
+/// Returns an error if a network fails the router's connectivity check.
+pub fn run_flag_bb_bench(quick: bool) -> Result<Vec<FlagBbCase>, String> {
+    let iters = if quick { 2 } else { 200 };
+    FLAG_BB_SIZES
+        .iter()
+        .map(|&n| {
+            let g = gen::complete_heterogeneous(n, 1, 5, &mut StdRng::seed_from_u64(n as u64));
+            let router =
+                PathRouter::build(&g, 1).ok_or_else(|| format!("K{n} is not 3-connected"))?;
+            let parts: Vec<NodeId> = g.nodes().collect();
+            let none = BTreeSet::new();
+            let eig = spread(quick, iters, || {
+                for &b in &parts {
+                    run_eig(
+                        &parts,
+                        b,
+                        1,
+                        0u64,
+                        &none,
+                        &mut HonestAdversary,
+                        &mut IdealChannel,
+                        1,
+                    );
+                }
+            });
+            let mut log = UnicastLog(Vec::new());
+            for &b in &parts {
+                run_eig(&parts, b, 1, 0u64, &none, &mut HonestAdversary, &mut log, 1);
+            }
+            let routing = spread(quick, iters, || {
+                let mut net = NetSim::new(&g);
+                for &(a, b) in &log.0 {
+                    router.unicast(&mut net, &none, a, b, 1, 0u64, &mut |_, v| *v);
+                }
+                net.clock()
+            });
+            let flags: BTreeMap<NodeId, bool> = parts.iter().map(|&v| (v, false)).collect();
+            let flag_bb = spread(quick, iters, || {
+                run_flag_broadcast(
+                    &g,
+                    &router,
+                    &parts,
+                    1,
+                    &flags,
+                    &none,
+                    &mut HonestStrategy,
+                    BroadcastKind::Eig,
+                    false,
+                )
+                .duration
+            });
+            Ok(FlagBbCase {
+                n: n as u64,
+                iters,
+                eig,
+                routing,
+                flag_bb,
+            })
+        })
+        .collect()
+}
+
+fn spread_json(s: Spread) -> Json {
+    Json::obj(vec![
+        ("min_ns", Json::U64(s.min_ns)),
+        ("median_ns", Json::U64(s.median_ns)),
+    ])
+}
+
+fn flag_bb_json(cases: &[FlagBbCase], quick: bool) -> Json {
+    Json::obj(vec![
+        ("topology", Json::str("hetero:$n:1:5")),
+        ("f", Json::U64(1)),
+        ("reps", Json::U64(flag_bb_reps(quick).into())),
+        (
+            "cases",
+            Json::Arr(
+                cases
+                    .iter()
+                    .map(|c| {
+                        Json::obj(vec![
+                            ("n", Json::U64(c.n)),
+                            ("iters", Json::U64(c.iters)),
+                            ("eig", spread_json(c.eig)),
+                            ("routing", spread_json(c.routing)),
+                            ("flag_bb", spread_json(c.flag_bb)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ])
+}
+
+/// A terminal summary table of `flag_bb` cases (µs per call, min/median).
+pub fn flag_bb_summary_table(cases: &[FlagBbCase]) -> String {
+    let us = |s: Spread| {
+        format!(
+            "{:.1} / {:.1}",
+            s.min_ns as f64 / 1e3,
+            s.median_ns as f64 / 1e3
+        )
+    };
+    let rows: Vec<Vec<String>> = cases
+        .iter()
+        .map(|c| vec![c.n.to_string(), us(c.eig), us(c.routing), us(c.flag_bb)])
+        .collect();
+    crate::format_table(
+        &[
+            "n",
+            "eig µs min/med",
+            "routing µs min/med",
+            "flag_bb µs min/med",
+        ],
+        &rows,
+    )
+}
+
 /// Renders the sweep-wide latency percentiles (`p50`/`p90`/`p99` wall
 /// nanoseconds per phase) from the aggregate latency histograms.
 fn percentiles_json(latency: &PhaseLatency) -> Json {
@@ -705,8 +909,9 @@ fn percentiles_json(latency: &PhaseLatency) -> Json {
 /// Renders the sweep benchmark report (`BENCH_sweep.json`): run metadata,
 /// per-phase latency percentiles, the full timed sweep report (per-job
 /// `wall_*_ns`, latency histograms, plan-cache and plan-repair stats
-/// included), the cold-vs-cached-vs-disk `plan_cache` comparison, and
-/// the repair-on-vs-off `plan_repair` comparison.
+/// included), the cold-vs-cached-vs-disk `plan_cache` comparison, the
+/// repair-on-vs-off `plan_repair` comparison, and the `flag_bb` layer
+/// split.
 pub fn sweep_report_json(
     report: &SweepReport,
     wall_ns: u64,
@@ -714,6 +919,7 @@ pub fn sweep_report_json(
     quick: bool,
     plan_cache: &PlanCacheBench,
     plan_repair: &PlanRepairBench,
+    flag_bb: &[FlagBbCase],
 ) -> Json {
     Json::obj(vec![
         ("report", Json::str("sweep")),
@@ -780,6 +986,7 @@ pub fn sweep_report_json(
                 ),
             ]),
         ),
+        ("flag_bb", flag_bb_json(flag_bb, quick)),
         ("sweep", report.to_json_value(true)),
     ])
 }
@@ -814,7 +1021,7 @@ mod tests {
             total_ns: 1234,
         }];
         let j = gf_report_json(&cases, true).render();
-        assert!(j.starts_with("{\"report\":\"gf\",\"schema\":5,\"quick\":true,\"tier\":\""));
+        assert!(j.starts_with("{\"report\":\"gf\",\"schema\":6,\"quick\":true,\"tier\":\""));
         for key in [
             "\"cpu\":\"",
             "\"cases\":[",
@@ -918,9 +1125,10 @@ mod tests {
             true,
             &fixture_plan_cache_bench(),
             &fixture_plan_repair_bench(),
+            &[fixture_flag_bb_case()],
         )
         .render();
-        assert!(j.starts_with("{\"report\":\"sweep\",\"schema\":5"));
+        assert!(j.starts_with("{\"report\":\"sweep\",\"schema\":6"));
         assert!(
             j.contains("\"wall_total_ns\":"),
             "timed sweep embedded: {j}"
@@ -973,7 +1181,36 @@ mod tests {
             j.contains("\"plan_full_recomputes\":"),
             "recompute counters: {j}"
         );
+        assert!(j.contains(
+            "\"flag_bb\":{\"topology\":\"hetero:$n:1:5\",\"f\":1,\"reps\":3,\
+             \"cases\":[{\"n\":4,\"iters\":2,\"eig\":{\"min_ns\":10,\"median_ns\":11},\
+             \"routing\":{\"min_ns\":20,\"median_ns\":22},\
+             \"flag_bb\":{\"min_ns\":30,\"median_ns\":33}}]}"
+        ));
         assert!(j.contains("\"sweep\":{\"scenario\":\"complete-sweep\""));
+    }
+
+    fn fixture_flag_bb_case() -> FlagBbCase {
+        let s = |min_ns, median_ns| Spread { min_ns, median_ns };
+        FlagBbCase {
+            n: 4,
+            iters: 2,
+            eig: s(10, 11),
+            routing: s(20, 22),
+            flag_bb: s(30, 33),
+        }
+    }
+
+    #[test]
+    fn quick_flag_bb_bench_covers_every_size() {
+        let cases = run_flag_bb_bench(true).expect("complete graphs route");
+        let sizes: Vec<u64> = cases.iter().map(|c| c.n).collect();
+        assert_eq!(sizes, [4, 7, 10]);
+        for c in &cases {
+            for s in [c.eig, c.routing, c.flag_bb] {
+                assert!(s.min_ns <= s.median_ns, "{c:?}");
+            }
+        }
     }
 
     #[test]

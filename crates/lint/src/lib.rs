@@ -176,7 +176,7 @@ impl Config {
     pub fn workspace_default() -> Config {
         Config {
             clock_files: vec!["crates/obs/src/clock.rs".into()],
-            canonical_crates: vec!["core".into(), "scenario".into()],
+            canonical_crates: vec!["bb".into(), "core".into(), "scenario".into(), "sim".into()],
             unsafe_files: vec![
                 "crates/gf/src/simd.rs".into(),
                 "crates/gf/src/kernel.rs".into(),

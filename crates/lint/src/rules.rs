@@ -353,6 +353,17 @@ mod tests {
     }
 
     #[test]
+    fn nab002_covers_the_bb_transport_crates() {
+        // EIG relay order and the round meter's charges reach canonical
+        // JSON, so the BB crates are held to the same rule.
+        let src = "use std::collections::HashMap;\n";
+        assert_eq!(codes("crates/bb/src/eig.rs", src), vec![Code::Nab002]);
+        assert_eq!(codes("crates/sim/src/lib.rs", src), vec![Code::Nab002]);
+        let test_mod = "#[cfg(test)]\nmod tests {\n  use std::collections::HashSet;\n}\n";
+        assert_eq!(codes("crates/bb/src/router.rs", test_mod), vec![]);
+    }
+
+    #[test]
     fn nab003_scoping() {
         let src = "fn f(x: Option<u8>) { x.unwrap(); }\n";
         assert_eq!(codes("crates/core/src/plan.rs", src), vec![Code::Nab003]);

@@ -153,6 +153,35 @@ impl<'g> NetSim<'g> {
         duration
     }
 
+    /// Delivers one round in which each of the `links` carries `bits`,
+    /// where the links are pairwise distinct and `min_cap` is the smallest
+    /// capacity among them — one hop of a unicast over vertex-disjoint
+    /// paths. The charge, `bits / min_cap`, is exactly what
+    /// [`NetSim::send`] on every link followed by
+    /// [`NetSim::deliver_round`] would charge (correctly rounded division
+    /// is monotone in the divisor), without the per-link lookups; the
+    /// links are only walked to count and, when recording, to record them
+    /// in order. Queued sends must have been delivered first.
+    pub fn deliver_hop(
+        &mut self,
+        bits: u64,
+        min_cap: u64,
+        links: impl Iterator<Item = (NodeId, NodeId)>,
+    ) -> f64 {
+        debug_assert!(self.pending.is_empty(), "deliver the queued sends first");
+        let sent = match &mut self.rounds {
+            Some(rounds) => {
+                rounds.push(links.map(|(s, d)| (s, d, bits)).collect());
+                rounds.last().map_or(0, Vec::len)
+            }
+            None => links.count(),
+        };
+        self.total_bits += bits * sent as u64;
+        let duration = bits as f64 / min_cap as f64;
+        self.clock += duration;
+        duration
+    }
+
     /// The recorded rounds, in delivery order; empty unless recording.
     pub fn into_rounds(self) -> Vec<Round> {
         self.rounds.unwrap_or_default()
@@ -226,6 +255,30 @@ mod tests {
         assert_eq!(n.clock(), 1.0);
         assert_eq!(n.total_bits(), 2);
         assert!(n.into_rounds().is_empty());
+    }
+
+    #[test]
+    fn deliver_hop_matches_sending_each_link() {
+        let g = gen::figure_1a();
+        let links = [(0, 1), (2, 3), (1, 2)];
+        let mut sent = NetSim::new(&g).recording(true);
+        for &(s, d) in &links {
+            sent.send(s, d, 6).unwrap();
+        }
+        sent.deliver_round();
+        let min_cap = links
+            .iter()
+            .map(|&(s, d)| g.find_edge(s, d).unwrap().1.cap)
+            .min()
+            .unwrap();
+        let mut hop = NetSim::new(&g).recording(true);
+        assert_eq!(
+            hop.deliver_hop(6, min_cap, links.iter().copied()),
+            sent.clock()
+        );
+        assert_eq!(hop.clock(), sent.clock());
+        assert_eq!(hop.total_bits(), sent.total_bits());
+        assert_eq!(hop.into_rounds(), sent.into_rounds());
     }
 
     #[test]

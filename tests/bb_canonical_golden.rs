@@ -6,6 +6,13 @@
 //! is pinned by its FNV-1a-64 digest, captured before the BB layer was
 //! last restructured; a change to these constants means the canonical
 //! output moved and needs its own justification.
+//!
+//! The `f = 2` cases on heterogeneous capacities pin the EIG relay order:
+//! there, the order in which hop charges are summed reaches the last bits
+//! of the reported times, so the relays must go in lexicographic path
+//! order, from run to run and within one process. Their digests were
+//! captured once that order was fixed; before, these outputs moved from
+//! run to run, so there was no earlier value to pin.
 
 use nab_repro::scenario::{parse_str, run_sweep_with_options, SweepOptions};
 
@@ -57,6 +64,30 @@ const WAN_GRID: &str = "name = wan-grid\ntopology = complete:$n:$cap\n\
     broadcast = eig\nadversary = corruptor\nfaults = rotating:1\nq = 4\n\
     symbols = 16\nn = 4,5\ncap = 2\nf = 1\nseeds = 2\nseed0 = 29\nnet = on\n\
     link_model = uniform:20000000:5000000\n";
+
+/// EIG at `f = 2` (flags and dispute claims) on a heterogeneous `K7`.
+const HETERO_F2: &str = "name = hetero-f2\ntopology = hetero:$n:1:5\n\
+    broadcast = eig\nadversary = corruptor\nfaults = fixed:1,2\nq = 2\n\
+    symbols = 8\nn = 7\ncap = 1\nf = 2\nseeds = 1\nseed0 = 5\n";
+
+/// The same, with every recorded BB round replayed over a jittery link
+/// model.
+const HETERO_F2_NET: &str = "name = hetero-f2-net\ntopology = hetero:$n:1:5\n\
+    broadcast = eig\nadversary = corruptor\nfaults = fixed:1,2\nq = 2\n\
+    symbols = 8\nn = 7\ncap = 1\nf = 2\nseeds = 1\nseed0 = 5\nnet = on\n\
+    link_model = uniform:20000000:5000000\n";
+
+#[test]
+fn eig_f2_relay_order_is_canonical() {
+    for (name, text, want) in [
+        ("hetero-f2", HETERO_F2, 0x09c9_5805_1aab_8997),
+        ("hetero-f2-net", HETERO_F2_NET, 0x73c0_1a72_7fa0_a80e),
+    ] {
+        let first = digest(text);
+        assert_eq!(first, digest(text), "{name}: rerun in-process moved");
+        assert_eq!(first, want, "{name}: {first:#018x}");
+    }
+}
 
 #[test]
 fn bb_scenarios_keep_their_canonical_json() {
