@@ -21,12 +21,10 @@ use nab::value::Value;
 use nab::BroadcastKind;
 use nab_bb::eig::{run_eig, EigChannel, HonestAdversary, IdealChannel};
 use nab_bb::router::PathRouter;
-use nab_gf::bytes::{self, ByteMatrix};
 use nab_gf::kernel::{self, scalar_mul_row_add, FastOps};
 use nab_gf::linalg;
 use nab_gf::matrix::Matrix;
-use nab_gf::words::WordMatrix;
-use nab_gf::{simd, Field, Gf256, Gf2_16};
+use nab_gf::{simd, Field, Gf2_16};
 use nab_netgraph::{gen, NodeId};
 use nab_scenario::json::Json;
 use nab_scenario::{parse_str, PhaseLatency, SweepReport};
@@ -41,9 +39,9 @@ use rand::SeedableRng;
 /// `latency` histograms and `metrics` registry inside the embedded timed
 /// sweep report (see `docs/observability.md`).
 /// v4: top-level `tier`/`cpu` kernel metadata (the detected arch-SIMD
-/// tier and CPU features), batched-op cases (`mul_row_add_batch`,
-/// `encode_batch`, `check_batch`, word-slab `mat_mul`) with SIMD tier
-/// names, and min-of-[`MIN_REPS`] timing per case.
+/// tier and CPU features), SIMD tier names in the case labels, and
+/// min-of-[`MIN_REPS`] timing per case. Which ops and tiers appear is
+/// data, not schema, so changing the case set does not bump the version.
 /// v5: the `plan_repair` A/B section (dispute-heavy replanning with
 /// incremental repair on vs. off), disk-tier fields in the `plan_cache`
 /// section (`disk_scenario`, `disk_grid_points`, `disk_cold_wall_ns`,
@@ -83,9 +81,10 @@ pub const PLAN_DISK_SCENARIO: &str = include_str!("../../../scenarios/dc-grid.sc
 /// One timed GF micro-benchmark case.
 #[derive(Debug, Clone)]
 pub struct GfCase {
-    /// Operation: `mul_row_add`, `mat_mul`, `invert`, `solve`, `encode`.
+    /// Operation: `mul_row_add`, `mat_mul`, `invert`, `solve`, `encode`,
+    /// `encode_slab`.
     pub op: &'static str,
-    /// Implementation tier, `<field>/<kernel>` (e.g. `gf256/bytes`,
+    /// Implementation tier, `<field>/<kernel>` (e.g. `gf2_16/simd-avx2`,
     /// `gf2_16/split-table16`, `gf2_16/scalar`).
     pub tier: &'static str,
     /// Problem size: row length for row kernels, matrix dimension for
@@ -136,26 +135,24 @@ fn case<R>(
     }
 }
 
-/// The tier label a `FastOps` row call actually takes for rows of `len`
-/// elements: the detected arch-SIMD kernel when one exists and the row
-/// clears the dispatch threshold, otherwise the table-tier `fallback`.
-/// Labels are static so `GfCase` stays `&'static str` throughout.
-fn row_tier(field: &str, len: usize, fallback: &'static str) -> &'static str {
-    if len < simd::SIMD_THRESHOLD {
-        return fallback;
-    }
-    match (field, simd::tier()) {
-        ("gf256", "avx2") => "gf256/simd-avx2",
-        ("gf256", "ssse3") => "gf256/simd-ssse3",
-        ("gf2_16", "avx2") => "gf2_16/simd-avx2",
-        ("gf2_16", "ssse3") => "gf2_16/simd-ssse3",
-        _ => fallback,
+/// The tier label a `GF(2^16)` `FastOps` row call actually takes for rows
+/// of `len` elements: the detected arch-SIMD kernel when one exists and
+/// the row clears the dispatch threshold, otherwise the split-table or
+/// log-domain loop. Labels are static so `GfCase` stays `&'static str`
+/// throughout.
+fn row_tier(len: usize) -> &'static str {
+    match simd::tier() {
+        "avx2" if len >= simd::SIMD_THRESHOLD => "gf2_16/simd-avx2",
+        "ssse3" if len >= simd::SIMD_THRESHOLD => "gf2_16/simd-ssse3",
+        _ if len >= kernel::GF2_16_SPLIT_THRESHOLD => "gf2_16/split-table16",
+        _ => "gf2_16/log16",
     }
 }
 
-/// Runs the GF micro-benchmark grid: every kernel tier
-/// (byte slab / `FastOps` table kernels / scalar reference) on the row
-/// kernel, matrix multiply, inversion, solving, and Algorithm-1 encode.
+/// Runs the GF(2^16) micro-benchmark grid: the `FastOps` kernel tiers
+/// against the scalar reference on the row kernel, matrix multiply,
+/// inversion, solving, Algorithm-1 encode, and the batched equality
+/// check's slab encode.
 ///
 /// `quick` shrinks sizes and iteration counts for smoke runs (CI, tests).
 pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
@@ -173,46 +170,22 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
     };
     for &len in row_lens {
         let iters = row_iters(len);
-        // `bytes::mul_row_add` and `<Gf256 as FastOps>::mul_row_add` are
-        // the same dispatched kernel (FastOps reinterprets and forwards),
-        // so one case covers both entry points. FastOps dispatches on row
-        // length and the detected SIMD tier: label the tier that actually
-        // runs, so BENCH_gf.json attributes timings to the right kernel.
-        let src8: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
-        let mut dst8: Vec<u8> = (0..len).map(|i| (i * 17 + 3) as u8).collect();
-        cases.push(case(
-            "mul_row_add",
-            row_tier("gf256", len, "gf256/bytes"),
-            len as u64,
-            iters,
-            || bytes::mul_row_add(&mut dst8, &src8, 0x57),
-        ));
-
-        let srcf: Vec<Gf256> = src8.iter().map(|&x| Gf256(x)).collect();
-        let mut dsts: Vec<Gf256> = (0..len).map(|i| Gf256((i * 13 + 1) as u8)).collect();
-        cases.push(case(
-            "mul_row_add",
-            "gf256/scalar",
-            len as u64,
-            iters,
-            || scalar_mul_row_add(&mut dsts, &srcf, Gf256(0x57)),
-        ));
-
+        // FastOps dispatches on row length and the detected SIMD tier:
+        // label the tier that actually runs, so BENCH_gf.json attributes
+        // timings to the right kernel.
         let src16: Vec<Gf2_16> = (0..len)
             .map(|i| Gf2_16::from_u64(i as u64 * 257 + 11))
             .collect();
         let mut dst16: Vec<Gf2_16> = (0..len)
             .map(|i| Gf2_16::from_u64(i as u64 * 41 + 5))
             .collect();
-        let table_tier = if len >= kernel::GF2_16_SPLIT_THRESHOLD {
-            "gf2_16/split-table16"
-        } else {
-            "gf2_16/log16"
-        };
-        let gf2_16_tier = row_tier("gf2_16", len, table_tier);
-        cases.push(case("mul_row_add", gf2_16_tier, len as u64, iters, || {
-            <Gf2_16 as FastOps>::mul_row_add(&mut dst16, &src16, Gf2_16(0xABCD))
-        }));
+        cases.push(case(
+            "mul_row_add",
+            row_tier(len),
+            len as u64,
+            iters,
+            || <Gf2_16 as FastOps>::mul_row_add(&mut dst16, &src16, Gf2_16(0xABCD)),
+        ));
         let mut dst16s = dst16.clone();
         cases.push(case(
             "mul_row_add",
@@ -220,42 +193,6 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
             len as u64,
             iters,
             || scalar_mul_row_add(&mut dst16s, &src16, Gf2_16(0xABCD)),
-        ));
-
-        // Batched fused multiply-add: one destination accumulating many
-        // scaled sources (the blocked-mat_mul inner shape).
-        let nsrcs = 8usize;
-        let batch_srcs: Vec<Vec<Gf2_16>> = (0..nsrcs)
-            .map(|r| {
-                (0..len)
-                    .map(|i| Gf2_16::from_u64((i * 97 + r * 13 + 1) as u64))
-                    .collect()
-            })
-            .collect();
-        let batch_refs: Vec<&[Gf2_16]> = batch_srcs.iter().map(|v| v.as_slice()).collect();
-        let batch_scalars: Vec<Gf2_16> = (0..nsrcs)
-            .map(|r| Gf2_16::from_u64(r as u64 * 0x1234 + 2))
-            .collect();
-        let batch_iters = iters / nsrcs as u64 + 1;
-        let mut dstb = dst16.clone();
-        cases.push(case(
-            "mul_row_add_batch",
-            gf2_16_tier,
-            len as u64,
-            batch_iters,
-            || <Gf2_16 as FastOps>::mul_row_add_batch(&mut dstb, &batch_refs, &batch_scalars),
-        ));
-        let mut dstbs = dst16.clone();
-        cases.push(case(
-            "mul_row_add_batch",
-            "gf2_16/scalar",
-            len as u64,
-            batch_iters,
-            || {
-                for (src, &s) in batch_refs.iter().zip(&batch_scalars) {
-                    scalar_mul_row_add(&mut dstbs, src, s);
-                }
-            },
         ));
     }
 
@@ -267,28 +204,15 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
         } else {
             2_000_000 / (n * n * n) as u64 + 5
         };
-        let a8 = ByteMatrix::random(n, n, &mut rng);
-        let b8 = ByteMatrix::random(n, n, &mut rng);
-        cases.push(case("mat_mul", "gf256/bytes", n as u64, iters, || {
-            a8.mat_mul(&b8)
-        }));
         let a = Matrix::<Gf2_16>::random(n, n, &mut rng);
         let b = Matrix::<Gf2_16>::random(n, n, &mut rng);
         cases.push(case("mat_mul", "gf2_16/kernel", n as u64, iters, || {
             kernel::mat_mul(&a, &b)
         }));
-        let aw = WordMatrix::from_matrix(&a);
-        let bw = WordMatrix::from_matrix(&b);
-        cases.push(case("mat_mul", "gf2_16/words", n as u64, iters, || {
-            aw.mat_mul(&bw)
-        }));
         cases.push(case("mat_mul", "gf2_16/scalar", n as u64, iters, || {
             a.mul(&b)
         }));
 
-        cases.push(case("invert", "gf256/bytes", n as u64, iters, || {
-            a8.invert()
-        }));
         cases.push(case("invert", "gf2_16/kernel", n as u64, iters, || {
             kernel::invert(&a)
         }));
@@ -319,53 +243,32 @@ pub fn run_gf_bench(quick: bool) -> Vec<GfCase> {
         || scheme.encode(0, 1, &value),
     ));
 
-    // --- Batched Algorithm-1 encode/check over a packed column slab. ----
-    // The shape the batched execution path hands the kernels: one ρ×width
-    // slab holding the value-columns of many instances/streams, encoded
-    // by a single blocked multiply per edge. `n` records the slab width
-    // (packed columns).
+    // --- Batched Algorithm-1 encode over a packed column slab. ---------
+    // `CodingScheme::encode_slab`, the call batched Phase 2 makes per edge
+    // and side: one ρ×width slab holding the value-columns of many
+    // instances/streams, encoded by a single blocked multiply. `n` records
+    // the slab width (packed columns). The `gf2_16/per-column` baseline
+    // encodes the same columns one at a time with `encode_cols`, the
+    // per-instance path.
     let width = if quick { 256 } else { 2048 };
-    let (rho, z) = (6usize, 10usize);
-    let code = Matrix::<Gf2_16>::random(rho, z, &mut rng);
-    let xslab: Vec<Gf2_16> = (0..rho * width)
-        .map(|i| Gf2_16::from_u64(i as u64 * 193 + 7))
-        .collect();
+    let (rho, z) = (6usize, 10u64);
+    let slab_scheme = CodingScheme::random(&gen::complete(2, z), rho, 31);
+    let xt = Matrix::<Gf2_16>::random(rho, width, &mut rng);
     let slab_iters = if quick { 100 } else { 400 };
-    let slab_tier = row_tier("gf2_16", width, "gf2_16/split-table16");
-    let mut out = vec![Gf2_16::ZERO; z * width];
     cases.push(case(
-        "encode_batch",
-        slab_tier,
+        "encode_slab",
+        row_tier(width),
         width as u64,
         slab_iters,
-        || <Gf2_16 as FastOps>::encode_batch(&code, &xslab, width, &mut out),
+        || slab_scheme.encode_slab(0, 1, &xt),
     ));
-    // Scalar baseline: the per-column path the batched encode replaces.
-    let mut out_s = vec![Gf2_16::ZERO; z * width];
+    let cols: Vec<Vec<Gf2_16>> = (0..width).map(|j| xt.col(j)).collect();
     cases.push(case(
-        "encode_batch",
-        "gf2_16/scalar",
+        "encode_slab",
+        "gf2_16/per-column",
         width as u64,
         slab_iters,
-        || {
-            for j in 0..width {
-                for r in 0..z {
-                    let mut acc = Gf2_16::ZERO;
-                    for k in 0..rho {
-                        acc = acc.add(code[(k, r)].mul(xslab[k * width + j]));
-                    }
-                    out_s[r * width + j] = acc;
-                }
-            }
-        },
-    ));
-    let expected = out.clone();
-    cases.push(case(
-        "check_batch",
-        slab_tier,
-        width as u64,
-        slab_iters,
-        || <Gf2_16 as FastOps>::check_batch(&code, &xslab, width, &expected),
+        || slab_scheme.encode_cols(0, 1, &cols),
     ));
 
     cases
@@ -1015,7 +918,7 @@ mod tests {
     fn gf_report_schema_is_stable() {
         let cases = vec![GfCase {
             op: "mul_row_add",
-            tier: "gf256/bytes",
+            tier: "gf2_16/log16",
             n: 64,
             iters: 10,
             total_ns: 1234,
@@ -1043,22 +946,24 @@ mod tests {
         assert_eq!(
             ops.into_iter().collect::<Vec<_>>(),
             vec![
-                "check_batch",
                 "encode",
-                "encode_batch",
+                "encode_slab",
                 "invert",
                 "mat_mul",
                 "mul_row_add",
-                "mul_row_add_batch",
                 "solve"
             ]
         );
         // Every specialized tier appears alongside its scalar baseline,
         // with the row cases labeled by the kernel that actually runs on
         // this machine (arch-SIMD when detected, table tiers otherwise).
-        assert!(cases.iter().any(|c| c.tier == "gf256/bytes"));
-        assert!(cases.iter().any(|c| c.tier == "gf2_16/words"));
+        assert!(cases.iter().all(|c| c.tier.starts_with("gf2_16/")));
+        assert!(cases.iter().any(|c| c.tier == "gf2_16/kernel"));
         assert!(cases.iter().any(|c| c.tier == "gf2_16/scalar"));
+        // The slab encode is timed against its per-column baseline.
+        assert!(cases
+            .iter()
+            .any(|c| c.op == "encode_slab" && c.tier == "gf2_16/per-column"));
         let expected_row = match simd::tier() {
             "avx2" => "gf2_16/simd-avx2",
             "ssse3" => "gf2_16/simd-ssse3",

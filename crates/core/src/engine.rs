@@ -1455,7 +1455,7 @@ mod tests {
     /// Drives `run_instances_batched` for several instances and mirrors
     /// every stream with an independent per-instance engine, asserting
     /// bit-identical reports and dispute evolution throughout.
-    fn check_batched_equivalence<A: NabAdversary + Default>(
+    fn assert_batched_equivalence<A: NabAdversary + Default>(
         faulty: &BTreeSet<NodeId>,
         instances: usize,
     ) {
@@ -1498,7 +1498,7 @@ mod tests {
 
     #[test]
     fn batched_streams_match_per_instance_fault_free() {
-        check_batched_equivalence::<HonestStrategy>(&BTreeSet::new(), 3);
+        assert_batched_equivalence::<HonestStrategy>(&BTreeSet::new(), 3);
     }
 
     #[test]
@@ -1507,7 +1507,7 @@ mod tests {
         // DC3; from instance 1 on the engines are disputed, so the entry
         // point must take its internal per-stream fallback — reports and
         // dispute state stay bit-identical to solo engines either way.
-        check_batched_equivalence::<TruthfulCorruptor>(&BTreeSet::from([2]), 4);
+        assert_batched_equivalence::<TruthfulCorruptor>(&BTreeSet::from([2]), 4);
     }
 
     /// Grows every forwarded Phase-1 block by one symbol, so downstream
@@ -1535,7 +1535,7 @@ mod tests {
         // A length-tampering relay makes node values (hence reshaped
         // column counts) unequal across nodes; the batched pack must
         // reproduce the per-instance flags and sends exactly.
-        check_batched_equivalence::<BlockStretcher>(&BTreeSet::from([2]), 3);
+        assert_batched_equivalence::<BlockStretcher>(&BTreeSet::from([2]), 3);
     }
 
     #[test]
@@ -1543,7 +1543,7 @@ mod tests {
         // The garbler corrupts coded symbols *inside* the equality phase,
         // exercising the batched path's per-stream adversary calls (and
         // their RNG-free determinism) rather than Phase-1 corruption.
-        check_batched_equivalence::<crate::adversary::EqualityGarbler>(&BTreeSet::from([1]), 3);
+        assert_batched_equivalence::<crate::adversary::EqualityGarbler>(&BTreeSet::from([1]), 3);
     }
 
     #[test]

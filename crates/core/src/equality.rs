@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use nab_gf::field::Field;
 use nab_gf::matrix::Matrix;
-use nab_gf::{Gf2_16, WordMatrix};
+use nab_gf::Gf2_16;
 use nab_netgraph::{DiGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -135,7 +135,7 @@ impl CodingScheme {
     /// The batched-encode shape: `Y_eᵀ = C_eᵀ · Xᵀ`, where `xt` is a
     /// `ρ × W` row-major slab whose columns are value columns (from any
     /// number of instances/streams packed side by side). One blocked
-    /// [`WordMatrix::mat_mul`] with `W`-long rows replaces `W` per-column
+    /// [`nab_gf::kernel::mat_mul`] with `W`-long rows replaces `W` per-column
     /// [`nab_gf::kernel::left_mul_vec`] calls with `z_e`-long rows — the
     /// hot path of the batched execution engine. Entry `(r, c)` of the
     /// result is coded symbol `r` of packed column `c`, bit-identical to
@@ -144,11 +144,10 @@ impl CodingScheme {
     /// # Panics
     ///
     /// Panics if the edge has no matrix or `xt` has `!= ρ` rows.
-    pub fn encode_slab(&self, src: NodeId, dst: NodeId, xt: &WordMatrix) -> WordMatrix {
+    pub fn encode_slab(&self, src: NodeId, dst: NodeId, xt: &Matrix<Gf2_16>) -> Matrix<Gf2_16> {
         let c = self.matrix(src, dst);
         assert_eq!(xt.rows(), self.rho, "packed slab must have ρ rows");
-        let ct = WordMatrix::from_fn(c.cols(), c.rows(), |r, col| c[(col, r)].0);
-        ct.mat_mul(xt)
+        nab_gf::kernel::mat_mul(&c.transpose(), xt)
     }
 
     /// Number of coded symbols [`CodingScheme::encode`] produces on an edge
@@ -384,11 +383,11 @@ mod tests {
         let vals: Vec<Value> = (0..3).map(|_| Value::random(6, &mut rng)).collect();
         let reshaped: Vec<Vec<Vec<Gf2_16>>> = vals.iter().map(|v| v.reshape(2)).collect();
         let cols = reshaped[0].len();
-        let mut xt = WordMatrix::zero(2, 3 * cols);
+        let mut xt = Matrix::zero(2, 3 * cols);
         for (s, cs) in reshaped.iter().enumerate() {
             for (j, col) in cs.iter().enumerate() {
                 for (r, &sym) in col.iter().enumerate() {
-                    xt.set(r, s * cols + j, sym);
+                    xt[(r, s * cols + j)] = sym;
                 }
             }
         }
@@ -399,7 +398,7 @@ mod tests {
             let mut got = Vec::new();
             for j in 0..cols {
                 for r in 0..yt.rows() {
-                    got.push(yt.get(r, s * cols + j));
+                    got.push(yt[(r, s * cols + j)]);
                 }
             }
             assert_eq!(got, expect, "stream {s}");

@@ -7,7 +7,7 @@ use nab_bb::baselines::RoutedChannel;
 use nab_bb::eig::{run_eig, EigChannel, HonestAdversary};
 use nab_bb::phaseking::{run_phase_king, PkHonest};
 use nab_bb::router::PathRouter;
-use nab_gf::{Gf2_16, WordMatrix};
+use nab_gf::{Gf2_16, Matrix};
 use nab_netgraph::arborescence::Arborescence;
 use nab_netgraph::{DiGraph, NodeId};
 use nab_sim::NetSim;
@@ -92,7 +92,7 @@ fn charge_edge(meter: &mut NetSim<'_>, src: NodeId, dst: NodeId, sent: &[Gf2_16]
 /// is why each stream gets a cumulative offset instead of a uniform
 /// stride. Returns the slab plus the `streams + 1` column offsets
 /// (`offsets[s]..offsets[s + 1]` is stream `s`'s span).
-fn pack_columns(reshaped: &[&Vec<Vec<Gf2_16>>], rho: usize) -> (WordMatrix, Vec<usize>) {
+fn pack_columns(reshaped: &[&Vec<Vec<Gf2_16>>], rho: usize) -> (Matrix<Gf2_16>, Vec<usize>) {
     let mut offsets = Vec::with_capacity(reshaped.len() + 1);
     offsets.push(0usize);
     for stream_cols in reshaped {
@@ -103,12 +103,11 @@ fn pack_columns(reshaped: &[&Vec<Vec<Gf2_16>>], rho: usize) -> (WordMatrix, Vec<
                                           // table; a non-monotonic table would silently interleave streams.
     #[cfg(feature = "sanitize")]
     crate::detsan::check_offsets_monotonic(&offsets);
-    let mut xt = WordMatrix::zero(rho, width);
-    let slab = xt.as_mut_slice();
+    let mut xt = Matrix::zero(rho, width);
     for (s, stream_cols) in reshaped.iter().enumerate() {
         for (j, col) in stream_cols.iter().enumerate() {
             for (r, &sym) in col.iter().enumerate() {
-                slab[r * width + offsets[s] + j] = sym;
+                xt[(r, offsets[s] + j)] = sym;
             }
         }
     }
@@ -119,14 +118,12 @@ fn pack_columns(reshaped: &[&Vec<Vec<Gf2_16>>], rho: usize) -> (WordMatrix, Vec<
 /// `start..start + cols`) from a batched `Yᵀ = C_eᵀ · Xᵀ` slab,
 /// flattened column-major exactly like [`CodingScheme::encode_cols`]:
 /// symbol `j·z + r` is `Yᵀ(r, start + j)`.
-fn scatter_stream(yt: &WordMatrix, start: usize, cols: usize) -> Vec<Gf2_16> {
+fn scatter_stream(yt: &Matrix<Gf2_16>, start: usize, cols: usize) -> Vec<Gf2_16> {
     let z = yt.rows();
-    let width = yt.cols();
-    let slab = yt.as_slice();
     let mut out = Vec::with_capacity(cols * z);
-    for j in 0..cols {
+    for j in start..start + cols {
         for r in 0..z {
-            out.push(slab[r * width + start + j]);
+            out.push(yt[(r, j)]);
         }
     }
     out
@@ -168,7 +165,7 @@ pub fn run_equality_phase_batched(
         .iter()
         .map(|vals| gk.nodes().map(|v| (v, vals[&v].reshape(rho))).collect())
         .collect();
-    let packed: BTreeMap<NodeId, (WordMatrix, Vec<usize>)> = gk
+    let packed: BTreeMap<NodeId, (Matrix<Gf2_16>, Vec<usize>)> = gk
         .nodes()
         .map(|v| {
             let per_stream: Vec<&Vec<Vec<Gf2_16>>> = reshaped.iter().map(|r| &r[&v]).collect();

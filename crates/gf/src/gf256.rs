@@ -1,4 +1,6 @@
-//! `GF(2^8)` with log/antilog tables — the fast small field.
+//! `GF(2^8)` with log/antilog tables — a small field the tests use as a
+//! fixture (the engine codes over `GF(2^16)`). It takes the scalar
+//! [`crate::kernel::FastOps`] defaults.
 //!
 //! Uses the primitive polynomial `x^8 + x^4 + x^3 + x^2 + 1` (`0x11D`), the
 //! conventional Reed–Solomon modulus, for which `x` (i.e. `2`) is a

@@ -8,13 +8,13 @@
 //! shape out as [`FastOps::mul_row_add`] and lets each field supply its
 //! best implementation:
 //!
-//! - [`crate::gf256::Gf256`] — one 256-entry product-table row per scalar
-//!   (shared with [`crate::bytes`]),
-//! - [`crate::gf2m::Gf2_16`] — two 256-entry split tables (low/high byte)
-//!   built per scalar, amortized over long rows; short rows use a
-//!   log-domain loop,
-//! - [`crate::gf2m::Gf2m`] (any degree) — the scalar default, so generic
-//!   field code keeps working unchanged.
+//! - [`crate::gf2m::Gf2_16`], the engine's symbol field — the arch-SIMD
+//!   tier ([`crate::simd`]) for rows it covers, else two 256-entry split
+//!   tables (low/high byte) built per scalar and amortized over long rows,
+//!   else a log-domain loop for short rows,
+//! - every other field ([`crate::gf256::Gf256`], [`crate::gf2m::Gf2m`] of
+//!   any degree) — the scalar defaults, so generic field code keeps
+//!   working unchanged.
 //!
 //! The functions here ([`mat_mul`], [`echelon`], [`invert`], [`solve`],
 //! [`kernel_basis`], [`left_mul_vec`]) mirror [`crate::linalg`]
@@ -22,7 +22,6 @@
 //! so their results are **bit-identical** to the scalar path for every
 //! field (pinned by `tests/differential.rs`).
 
-use crate::bytes;
 use crate::field::Field;
 use crate::gf256::Gf256;
 use crate::gf2m::{Gf2_16, Gf2m};
@@ -38,11 +37,12 @@ use crate::simd;
 /// the arch-SIMD tier first when one was detected (see [`crate::simd`]).
 pub const GF2_16_SPLIT_THRESHOLD: usize = 1024;
 
-/// Column-stripe width (in elements) for the blocked batched ops
-/// ([`FastOps::encode_batch`]): destination and source stripes stay
-/// cache-resident even for very wide packed slabs. Blocking never changes
-/// results — characteristic-2 accumulation is exact XOR.
-pub const BATCH_COL_BLOCK: usize = 1024;
+/// Column-stripe width (in elements) of [`mat_mul`]: for very wide
+/// right-hand sides (the packed cross-instance slabs of the batched
+/// equality check) the destination and source stripes stay cache-resident.
+/// Striping never changes results — characteristic-2 accumulation is
+/// exact XOR.
+pub const COL_BLOCK: usize = 1024;
 
 /// The scalar reference implementation of the fused row kernel:
 /// `dst[i] += s · src[i]` one element at a time. This is both the default
@@ -79,7 +79,7 @@ pub fn scalar_scale_row<F: Field>(row: &mut [F], s: F) {
 }
 
 /// Per-field row kernels — the specialization seam between generic
-/// [`Field`] code and table-driven byte loops.
+/// [`Field`] code and table-driven loops.
 ///
 /// Every provided field implements this trait; fields without a special
 /// kernel inherit the scalar defaults, so `F: FastOps` is no more
@@ -87,9 +87,6 @@ pub fn scalar_scale_row<F: Field>(row: &mut [F], s: F) {
 /// *exact*: specialized kernels may not change results, only speed
 /// (enforced by the differential test suite).
 pub trait FastOps: Field {
-    /// Human-readable kernel name, surfaced by the perf report.
-    const KERNEL: &'static str = "scalar";
-
     /// Fused multiply-add row kernel: `dst[i] += s · src[i]`
     /// (equivalently `-=` in characteristic 2).
     ///
@@ -104,144 +101,6 @@ pub trait FastOps: Field {
     fn scale_row(row: &mut [Self], s: Self) {
         scalar_scale_row(row, s);
     }
-
-    /// Batched fused multiply-add: `dst[i] += Σ_j scalars[j] · srcs[j][i]`
-    /// — one destination row accumulating many scaled source rows (the
-    /// inner product shape of a blocked matrix multiply with the reduction
-    /// loop fused).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `srcs` and `scalars` have different lengths, or any
-    /// source row's length differs from `dst`'s.
-    fn mul_row_add_batch(dst: &mut [Self], srcs: &[&[Self]], scalars: &[Self]) {
-        assert_eq!(
-            srcs.len(),
-            scalars.len(),
-            "mul_row_add_batch arity mismatch: {} rows, {} scalars",
-            srcs.len(),
-            scalars.len()
-        );
-        for (src, &s) in srcs.iter().zip(scalars) {
-            Self::mul_row_add(dst, src, s);
-        }
-    }
-
-    /// Batched Algorithm-1 encode over a packed column slab:
-    /// `out = Cᵀ · X`, where `code` is the `ρ × z` coding matrix, `x` is a
-    /// row-major `ρ × width` slab (row `k` holds symbol `k` of `width`
-    /// packed value-columns), and `out` is the row-major `z × width`
-    /// result slab. One call replaces `width` per-column
-    /// [`left_mul_vec`] calls, turning the hot loop into long-row
-    /// [`FastOps::mul_row_add`]s striped [`BATCH_COL_BLOCK`] columns at a
-    /// time. Bit-identical to the per-column path (characteristic-2
-    /// accumulation is exact and order-independent).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `x.len() == code.rows() * width` and
-    /// `out.len() == code.cols() * width`.
-    fn encode_batch(code: &Matrix<Self>, x: &[Self], width: usize, out: &mut [Self]) {
-        let (rho, z) = (code.rows(), code.cols());
-        assert_eq!(
-            x.len(),
-            rho * width,
-            "encode_batch: x slab is {} elements, want {rho} rows × {width}",
-            x.len()
-        );
-        assert_eq!(
-            out.len(),
-            z * width,
-            "encode_batch: out slab is {} elements, want {z} rows × {width}",
-            out.len()
-        );
-        out.fill(Self::ZERO);
-        for j0 in (0..width).step_by(BATCH_COL_BLOCK) {
-            let j1 = (j0 + BATCH_COL_BLOCK).min(width);
-            for r in 0..z {
-                for k in 0..rho {
-                    let s = code[(k, r)];
-                    if !s.is_zero() {
-                        Self::mul_row_add(
-                            &mut out[r * width + j0..r * width + j1],
-                            &x[k * width + j0..k * width + j1],
-                            s,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batched Algorithm-1 check: recomputes [`FastOps::encode_batch`]
-    /// and compares against the received slab.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as [`FastOps::encode_batch`],
-    /// plus `expected.len() != code.cols() * width`.
-    fn check_batch(code: &Matrix<Self>, x: &[Self], width: usize, expected: &[Self]) -> bool {
-        assert_eq!(
-            expected.len(),
-            code.cols() * width,
-            "check_batch: expected slab is {} elements, want {} rows × {width}",
-            expected.len(),
-            code.cols()
-        );
-        let mut out = vec![Self::ZERO; code.cols() * width];
-        Self::encode_batch(code, x, width, &mut out);
-        out == expected
-    }
-}
-
-impl FastOps for Gf256 {
-    const KERNEL: &'static str = "table256";
-
-    fn mul_row_add(dst: &mut [Self], src: &[Self], s: Self) {
-        assert_eq!(
-            dst.len(),
-            src.len(),
-            "mul_row_add length mismatch: dst has {} elements, src has {}",
-            dst.len(),
-            src.len()
-        );
-        match s.0 {
-            0 => {}
-            1 => {
-                for (d, &x) in dst.iter_mut().zip(src) {
-                    d.0 ^= x.0;
-                }
-            }
-            // `Gf256` is repr(transparent) over `u8`, so the element rows
-            // reinterpret as byte rows and share the SIMD-dispatched byte
-            // kernel with `ByteMatrix`.
-            _ => bytes::mul_row_add(gf256_bytes_mut(dst), gf256_bytes(src), s.0),
-        }
-    }
-
-    fn scale_row(row: &mut [Self], s: Self) {
-        match s.0 {
-            0 => row.fill(Gf256(0)),
-            1 => {}
-            _ => bytes::scale_row(gf256_bytes_mut(row), s.0),
-        }
-    }
-}
-
-/// Reinterprets a `Gf256` slice as raw bytes (sound: repr(transparent)).
-#[inline]
-fn gf256_bytes(s: &[Gf256]) -> &[u8] {
-    // SAFETY: `Gf256` is `#[repr(transparent)]` over `u8`, so the slice
-    // shares its layout, alignment, and length with a byte slice.
-    unsafe { std::slice::from_raw_parts(s.as_ptr() as *const u8, s.len()) }
-}
-
-/// Mutable variant of [`gf256_bytes`].
-#[inline]
-fn gf256_bytes_mut(s: &mut [Gf256]) -> &mut [u8] {
-    // SAFETY: `Gf256` is `#[repr(transparent)]` over `u8` (see above),
-    // and the mutable borrow is exclusive for the returned lifetime.
-    unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr() as *mut u8, s.len()) }
 }
 
 /// Builds the split product tables for one `GF(2^16)` scalar:
@@ -258,8 +117,6 @@ fn gf2_16_split_tables(s: Gf2_16) -> ([u16; 256], [u16; 256]) {
 }
 
 impl FastOps for Gf2_16 {
-    const KERNEL: &'static str = "split-table16";
-
     fn mul_row_add(dst: &mut [Self], src: &[Self], s: Self) {
         assert_eq!(
             dst.len(),
@@ -305,13 +162,16 @@ impl FastOps for Gf2_16 {
     }
 }
 
-// Every other degree: scalar defaults (carry-less multiplication has no
-// table representation worth building at runtime).
+// Every other field takes the scalar defaults: `Gf256` only serves as a
+// small test field, and generic-degree carry-less multiplication has no
+// table representation worth building at runtime.
+impl FastOps for Gf256 {}
 impl<const M: u32> FastOps for Gf2m<M> {}
 
 /// Kernelized matrix multiplication `a * b`: the i–k–j loop order turns
-/// the inner dimension into whole-row [`FastOps::mul_row_add`] calls.
-/// Bit-identical to [`Matrix::mul`].
+/// the inner dimension into whole-row [`FastOps::mul_row_add`] calls,
+/// striped [`COL_BLOCK`] output columns at a time. Bit-identical to
+/// [`Matrix::mul`].
 ///
 /// # Panics
 ///
@@ -327,11 +187,15 @@ pub fn mat_mul<F: FastOps>(a: &Matrix<F>, b: &Matrix<F>) -> Matrix<F> {
         b.cols()
     );
     let mut out = Matrix::zero(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        for k in 0..a.cols() {
-            let s = a[(i, k)];
-            if !s.is_zero() {
-                F::mul_row_add(out.row_mut(i), b.row(k), s);
+    let w = b.cols();
+    for j0 in (0..w).step_by(COL_BLOCK) {
+        let j1 = (j0 + COL_BLOCK).min(w);
+        for i in 0..a.rows() {
+            for k in 0..a.cols() {
+                let s = a[(i, k)];
+                if !s.is_zero() {
+                    F::mul_row_add(&mut out.row_mut(i)[j0..j1], &b.row(k)[j0..j1], s);
+                }
             }
         }
     }
@@ -485,16 +349,8 @@ pub fn kernel_basis<F: FastOps>(a: &Matrix<F>) -> Matrix<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linalg;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn kernel_names_reflect_specialization() {
-        assert_eq!(<Gf256 as FastOps>::KERNEL, "table256");
-        assert_eq!(<Gf2_16 as FastOps>::KERNEL, "split-table16");
-        assert_eq!(<Gf2m<13> as FastOps>::KERNEL, "scalar");
-    }
 
     #[test]
     fn gf2_16_split_kernel_matches_scalar_at_all_lengths() {
@@ -527,40 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn gf256_kernel_matches_scalar() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let src: Vec<Gf256> = (0..300).map(|_| Gf256::random(&mut rng)).collect();
-        let base: Vec<Gf256> = (0..300).map(|_| Gf256::random(&mut rng)).collect();
-        for s in [0u64, 1, 2, 0x1D, 0xFF] {
-            let s = Gf256::from_u64(s);
-            let mut fast = base.clone();
-            let mut slow = base.clone();
-            Gf256::mul_row_add(&mut fast, &src, s);
-            scalar_mul_row_add(&mut slow, &src, s);
-            assert_eq!(fast, slow);
-        }
-    }
-
-    #[test]
-    fn kernel_linalg_matches_scalar_linalg() {
-        let mut rng = StdRng::seed_from_u64(41);
-        for _ in 0..8 {
-            let a = Matrix::<Gf2_16>::random(5, 8, &mut rng);
-            let e_fast = echelon(&a);
-            let e_slow = linalg::echelon(&a);
-            assert_eq!(e_fast.pivots, e_slow.pivots);
-            assert_eq!(e_fast.matrix, e_slow.matrix);
-            assert_eq!(rank(&a), linalg::rank(&a));
-            assert_eq!(kernel_basis(&a), linalg::kernel_basis(&a));
-
-            let sq = Matrix::<Gf2_16>::random(6, 6, &mut rng);
-            assert_eq!(invert(&sq), linalg::invert(&sq));
-            let b: Vec<Gf2_16> = (0..6).map(|_| Gf2_16::random(&mut rng)).collect();
-            assert_eq!(solve(&sq, &b), linalg::solve(&sq, &b));
-        }
-    }
-
-    #[test]
     fn mat_mul_matches_scalar_mul_for_generic_fields() {
         let mut rng = StdRng::seed_from_u64(43);
         let a = Matrix::<Gf2m<13>>::random(4, 6, &mut rng);
@@ -568,5 +390,12 @@ mod tests {
         assert_eq!(mat_mul(&a, &b), a.mul(&b));
         let v: Vec<Gf2m<13>> = (0..4).map(|_| Gf2m::random(&mut rng)).collect();
         assert_eq!(left_mul_vec(&a, &v), a.left_mul_vec(&v));
+    }
+
+    #[test]
+    #[should_panic(expected = "mat_mul dim mismatch")]
+    fn mat_mul_rejects_bad_shapes() {
+        let a = Matrix::<Gf2_16>::zero(2, 3);
+        let _ = mat_mul(&a, &a);
     }
 }

@@ -6,22 +6,21 @@
 //! crate provides everything that machinery needs:
 //!
 //! - [`field::Field`] — the abstract field interface,
-//! - [`gf256::Gf256`] and [`gf2m::Gf2_16`] — fast table-based fields,
+//! - [`gf2m::Gf2_16`] — the engine's symbol field, table-based,
 //! - [`gf2m::Gf2m`] — generic `GF(2^m)` for any `1 ≤ m ≤ 64` via carry-less
 //!   multiplication and a built-in table of low-weight irreducible
-//!   polynomials,
-//! - [`matrix::Matrix`] — dense matrices with multiplication, stacking and
-//!   slicing,
+//!   polynomials (the Theorem-1 field-size experiments),
+//! - [`gf256::Gf256`] — a small table-based field the tests use as a
+//!   fixture,
+//! - [`matrix::Matrix`] — dense row-major matrices with multiplication,
+//!   stacking and slicing; the one matrix type,
 //! - [`linalg`] — scalar Gaussian elimination: rank, determinant-zero
-//!   testing, inversion, solving, and kernel bases (the reference path),
+//!   testing, inversion, solving, and kernel bases (the reference oracle),
 //! - [`kernel`] — the [`kernel::FastOps`] row-kernel specialization trait
 //!   and kernelized linear algebra, bit-identical to [`linalg`] but
-//!   table-driven for `GF(256)` and `GF(2^16)`,
-//! - [`bytes`] — row-major `GF(256)` byte-slab storage
-//!   ([`bytes::ByteMatrix`]) with fully table-driven row kernels,
-//! - [`words`] — row-major `GF(2^16)` word-slab storage
-//!   ([`words::WordMatrix`]) for the batched execution path,
-//! - [`simd`] — the runtime-detected arch-SIMD row-kernel tier
+//!   table-driven for `GF(2^16)`; its column-striped [`kernel::mat_mul`]
+//!   is the engine's batched equality-check multiply,
+//! - [`simd`] — the runtime-detected arch-SIMD `GF(2^16)` row-kernel tier
 //!   (nibble-split PSHUFB tables via SSSE3/AVX2 intrinsics, with a
 //!   portable fallback identical in results).
 //!
@@ -41,7 +40,6 @@
 //! # }
 //! ```
 
-pub mod bytes;
 pub mod field;
 pub mod gf256;
 pub mod gf2m;
@@ -50,12 +48,9 @@ pub mod linalg;
 pub mod matrix;
 pub mod poly2;
 pub mod simd;
-pub mod words;
 
-pub use bytes::ByteMatrix;
 pub use field::Field;
 pub use gf256::Gf256;
 pub use gf2m::{Gf2_16, Gf2_32, Gf2m};
 pub use kernel::FastOps;
 pub use matrix::Matrix;
-pub use words::WordMatrix;

@@ -310,19 +310,12 @@ impl<F: Field> Matrix<F> {
     }
 }
 
-/// Splits two distinct rows of width `w` out of a flat row-major slab —
-/// the split-borrow both [`Matrix`] and [`crate::bytes::ByteMatrix`]
-/// need for row-kernel elimination.
+/// Splits two distinct rows of width `w` out of a flat row-major slab.
 ///
 /// # Panics
 ///
 /// Panics if `a == b`.
-pub(crate) fn split_rows_mut<T>(
-    data: &mut [T],
-    w: usize,
-    a: usize,
-    b: usize,
-) -> (&mut [T], &mut [T]) {
+fn split_rows_mut<T>(data: &mut [T], w: usize, a: usize, b: usize) -> (&mut [T], &mut [T]) {
     assert_ne!(a, b, "split_rows_mut requires distinct row indices");
     if a < b {
         let (head, tail) = data.split_at_mut(b * w);

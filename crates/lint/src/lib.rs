@@ -177,10 +177,7 @@ impl Config {
         Config {
             clock_files: vec!["crates/obs/src/clock.rs".into()],
             canonical_crates: vec!["bb".into(), "core".into(), "scenario".into(), "sim".into()],
-            unsafe_files: vec![
-                "crates/gf/src/simd.rs".into(),
-                "crates/gf/src/kernel.rs".into(),
-            ],
+            unsafe_files: vec!["crates/gf/src/simd.rs".into()],
             float_audit_files: vec![
                 "crates/scenario/src/report.rs".into(),
                 "crates/scenario/src/json.rs".into(),

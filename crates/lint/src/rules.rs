@@ -162,7 +162,7 @@ fn nab003_panics(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
 /// NAB004 — `unsafe` outside the audited allowlist, or inside it without
 /// a `SAFETY:` comment in the contiguous comment/attribute block directly
 /// above it (or on the same line). The workspace confines `unsafe` to the
-/// SIMD tier (`crates/gf/src/simd.rs`, `kernel.rs`); every block must
+/// SIMD tier (`crates/gf/src/simd.rs`); every block must
 /// state its proof obligation where the reviewer reads it. Applies to all
 /// code, tests included.
 fn nab004_unsafe(ctx: &FileCtx, cfg: &Config, diags: &mut Vec<Diagnostic>) {
@@ -177,8 +177,7 @@ fn nab004_unsafe(ctx: &FileCtx, cfg: &Config, diags: &mut Vec<Diagnostic>) {
                 ctx,
                 Code::Nab004,
                 t,
-                "`unsafe` outside the audited allowlist (crates/gf/src/{simd,kernel}.rs)"
-                    .to_string(),
+                "`unsafe` outside the audited allowlist (crates/gf/src/simd.rs)".to_string(),
             );
             continue;
         }
@@ -387,6 +386,9 @@ mod tests {
         let ok = "fn f() {\n    // SAFETY: the feature was detected at runtime.\n    unsafe { work() }\n}\n";
         assert_eq!(codes("crates/gf/src/simd.rs", ok), vec![]);
         assert_eq!(codes("crates/core/src/engine.rs", ok), vec![Code::Nab004]);
+        // The row kernels in `kernel.rs` are safe code: a justified
+        // `unsafe` there is still outside the allowlist.
+        assert_eq!(codes("crates/gf/src/kernel.rs", ok), vec![Code::Nab004]);
         let far = "fn f() {\n    // SAFETY: too far away.\n\n\n\n    unsafe { work() }\n}\n";
         assert_eq!(codes("crates/gf/src/simd.rs", far), vec![Code::Nab004]);
     }
